@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 
+from .linalg import SparseEchelon
 from .posets import Poset
 from .rings import Ring, ring_from_spec
 
@@ -60,12 +61,6 @@ class AlgebraContext:
             rec(0, [])
             pairs.append(tuple(here))
         return tuple(pairs)
-
-    def interval_product(self, t):
-        """I(x) for a basis tuple x, as a list of (n-1)-tuples."""
-        return [
-            self.basis[li][1:] for (li, _ri) in self._conv_pairs[self.index[tuple(t)]]
-        ]
 
     def element(self, coeffs=None) -> "FlagElement":
         return FlagElement(self, coeffs or {})
@@ -237,10 +232,10 @@ class StructureConstants:
     def multiply(self, u, v):
         """Product of two dense coefficient vectors."""
         ring = self.ring
-        zero = ring.zero()
-        out = [zero] * self.dim
-        nz_u = [(i, a) for i, a in enumerate(u) if a != zero]
-        nz_v = [(j, b) for j, b in enumerate(v) if b != zero]
+        out = [ring.zero()] * self.dim
+        # scalars are Fractions or ints, so truthiness is the (fast) zero test
+        nz_u = [(i, a) for i, a in enumerate(u) if a]
+        nz_v = [(j, b) for j, b in enumerate(v) if b]
         for i, a in nz_u:
             for j, b in nz_v:
                 entry = self.table.get((i, j))
@@ -257,21 +252,24 @@ class StructureConstants:
         vu = self.multiply(v, u)
         return [ring.sub(a, b) for a, b in zip(uv, vu)]
 
-    def basis_commutators(self):
-        """[b_i, b_j] vectors straight off the table (i < j suffices)."""
-        ring = self.ring
-        zero = ring.zero()
-        out = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                vec = [zero] * self.dim
-                for k, c in self.table.get((i, j), ()):
-                    vec[k] = ring.add(vec[k], c)
-                for k, c in self.table.get((j, i), ()):
-                    vec[k] = ring.sub(vec[k], c)
-                if any(x != zero for x in vec):
-                    out.append(vec)
-        return out
+    def identity(self, side: str):
+        """An element e with e*b = b (side "left") or b*e = b ("right") for
+        every basis vector b, or None; solved exactly over a field."""
+        ring, d = self.ring, self.dim
+        one = ring.one()
+        # unknown e = sum_q a_q b_q; generator q carries the coefficients of
+        # b_q*b_j (left) or b_j*b_q (right), coefficient of b_k at j*d + k
+        ech = SparseEchelon(ring)
+        for q in range(d):
+            row = {}
+            for j in range(d):
+                for k, c in self.product_coeffs(*((q, j) if side == "left" else (j, q))):
+                    row[j * d + k] = c
+            ech.add_row(row, {q: one})
+        residue, coords = ech.reduce({j * d + j: one for j in range(d)})
+        if residue:
+            return None
+        return [coords.get(q, ring.zero()) for q in range(d)]
 
     def is_commutative(self) -> bool:
         for i in range(self.dim):
@@ -293,13 +291,41 @@ class StructureConstants:
 
     @classmethod
     def from_json(cls, text: str) -> "StructureConstants":
+        """Parse the `to_json` format; any malformed table raises ValueError."""
         data = json.loads(text)
+        if not isinstance(data, dict) or not {"dim", "ring", "table"} <= data.keys():
+            raise ValueError('expected an object with keys "dim", "ring" and "table"')
+        dim = data["dim"]
+        if type(dim) is not int or dim < 0:
+            raise ValueError(f"dim must be a non-negative integer, got {dim!r}")
+        if not isinstance(data["ring"], str):
+            raise ValueError(f"ring must be a ring spec string, got {data['ring']!r}")
         ring = ring_from_spec(data["ring"])
-        table = {
-            (i, j): [(k, ring.parse(s)) for (k, s) in entry]
-            for (i, j, entry) in data["table"]
-        }
-        return cls(data["dim"], ring, table)
+        if not isinstance(data["table"], list):
+            raise ValueError("table must be a list of [i, j, [[k, coeff], ...]] entries")
+
+        def index(x):
+            if type(x) is not int or not 0 <= x < dim:
+                raise ValueError(f"index {x!r} is not an integer in [0, {dim})")
+            return x
+
+        table = {}
+        for entry in data["table"]:
+            if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[2], list)):
+                raise ValueError(f"table entry {entry!r} is not [i, j, [[k, coeff], ...]]")
+            key = (index(entry[0]), index(entry[1]))
+            if key in table:
+                raise ValueError(f"duplicate table entry for {list(key)}")
+            terms = {}
+            for term in entry[2]:
+                if not (isinstance(term, list) and len(term) == 2 and isinstance(term[1], str)):
+                    raise ValueError(f"term {term!r} is not [k, \"coeff\"]")
+                k = index(term[0])
+                if k in terms:
+                    raise ValueError(f"duplicate basis index {k} in table entry {list(key)}")
+                terms[k] = ring.parse(term[1])
+            table[key] = list(terms.items())
+        return cls(dim, ring, table)
 
 
 def structure_constants(ctx: AlgebraContext) -> StructureConstants:
@@ -316,10 +342,11 @@ def structure_constants(ctx: AlgebraContext) -> StructureConstants:
 
 
 def power_assoc_witness(ctx: AlgebraContext):
-    """Witness of third-power non-associativity, or None for an antichain.
+    """Witness f with f(ff) != (ff)f, or None.
 
     Uses the lexicographically least comparable pair x < y and the element
-    f = e_(x..x) + e_(x..x,y) + e_(x..x,y,y); verifies f(ff) != (ff)f.
+    f = e_(x..x) + e_(x..x,y) + e_(x..x,y,y).  None means an antichain (no
+    such pair) or, against the theorem, a candidate with f(ff) = (ff)f.
     """
     if ctx.n < 3:
         raise ValueError("power_assoc_witness requires n >= 3")
@@ -343,33 +370,4 @@ def power_assoc_witness(ctx: AlgebraContext):
         + ctx.basis_element((x,) * (n - 2) + (y, y))
     )
     ff = convolve(f, f)
-    left = convolve(f, ff)
-    right = convolve(ff, f)
-    if left == right:
-        raise AssertionError("third-power associativity held unexpectedly")
-    return f
-
-
-def has_one_sided_identity(ctx: AlgebraContext, side: str) -> bool:
-    """Whether a left or right identity exists, by exact feasibility check."""
-    from .linalg import solve
-
-    sc = structure_constants(ctx)
-    ring = ctx.ring
-    if not ring.is_field:
-        raise ValueError("identity feasibility check implemented over fields")
-    d = ctx.dim
-    zero, one = ring.zero(), ring.one()
-    # unknown e = sum_q a_q b_q; require e*b_j = b_j (left) or b_j*e = b_j
-    rows = []  # rows[q] = flattened constraints contributed by a_q
-    for q in range(d):
-        row = [zero] * (d * d)
-        for j in range(d):
-            key = (q, j) if side == "left" else (j, q)
-            for k, c in sc.product_coeffs(*key):
-                row[j * d + k] = ring.add(row[j * d + k], c)
-        rows.append(row)
-    rhs = [zero] * (d * d)
-    for j in range(d):
-        rhs[j * d + j] = one
-    return solve(rows, rhs, ring) is not None
+    return None if convolve(f, ff) == convolve(ff, f) else f

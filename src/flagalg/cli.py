@@ -13,8 +13,8 @@ import os
 import sys
 
 from . import __version__
-from .algebra import AlgebraContext, StructureConstants, convolve, structure_constants
-from .derivations import check_derivation, derivation_basis
+from .algebra import AlgebraContext, StructureConstants, convolve
+from .derivations import check_derivation, derivation_basis, moved_basis_tuple
 from .posets import PosetError, enumerate_posets, format_poset, parse_poset
 from .reconstruction import AbstractAlgebra, ReconstructionError, reconstruct_poset
 from .rings import CapabilityError, ring_from_spec
@@ -46,15 +46,6 @@ def _load_poset(path):
         raise CliError(f"cannot read poset file: {exc}")
     except PosetError as exc:
         raise CliError(f"poset parse error: {exc}")
-
-
-def _threads():
-    # FLAGALG_THREADS caps worker parallelism; execution is sequential and
-    # deterministic, so the cap is honored trivially
-    try:
-        return max(1, int(os.environ.get("FLAGALG_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def cmd_check(args) -> int:
@@ -118,7 +109,7 @@ def cmd_reconstruct(args) -> int:
             sc = StructureConstants.from_json(fh.read())
     except OSError as exc:
         raise CliError(f"cannot read table: {exc}")
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise CliError(f"malformed structure constants JSON: {exc}")
     if sc.ring != ring:
         raise CliError(f"table ring {sc.ring.name} does not match --ring {ring.name}")
@@ -166,11 +157,17 @@ def cmd_derivations(args) -> int:
     poset = _load_poset(args.poset)
     ctx = AlgebraContext(poset, args.n, ring)
     basis = derivation_basis(ctx)
-    for t in basis:
-        if not check_derivation(ctx, t):
-            raise CliError("internal error: kernel vector fails the direct check")
+    violation = None
+    if args.n == 3 and basis:
+        # the theorem says the kernel is zero: report the first basis tuple
+        # a kernel map moves, and whether that map passes the direct check
+        violation = {
+            "basis_tuple": list(moved_basis_tuple(ctx, basis[0])),
+            "direct_check": "pass" if check_derivation(ctx, basis[0]) else "fail",
+        }
+    elif not all(check_derivation(ctx, t) for t in basis):
+        raise CliError("internal error: kernel vector fails the direct check")
     fmt = ring.format
-    violation = args.n == 3 and bool(basis)
     report = {
         "artifact_version": __version__,
         "command": "derivations",
@@ -182,12 +179,16 @@ def cmd_derivations(args) -> int:
     }
     if violation:
         report["status"] = "THEOREM VIOLATION"
+        report["violation"] = violation
     elif args.n >= 4:
         report["warning"] = "n >= 4 is an unverified regime; no theorem is asserted"
     _emit(report, args.out)
     msg = f"derivations: n={args.n}, kernel rank {len(basis)}"
     if violation:
-        msg += " — THEOREM VIOLATION (expected 0 for n=3)"
+        msg += (
+            " — THEOREM VIOLATION (expected 0 for n=3; a kernel map moves "
+            f"e{tuple(violation['basis_tuple'])})"
+        )
     print(msg, file=sys.stderr)
     return EXIT_THEOREM_VIOLATION if violation else EXIT_OK
 
@@ -294,7 +295,6 @@ def main(argv=None) -> int:
     if args.command == "check" and bool(args.poset) == (args.all_up_to is not None):
         print("check: give exactly one of a poset file or --all-up-to", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    _threads()  # validated for side effects only
     try:
         return args.func(args)
     except (CliError, CapabilityError, ValueError) as exc:

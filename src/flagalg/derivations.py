@@ -90,31 +90,21 @@ def derivation_basis(ctx: AlgebraContext):
     out = []
     for vec in ker.basis:
         matrix = [vec[p * d : (p + 1) * d] for p in range(d)]
-        t = LinearMap(ring, matrix)
-        _assert_structural_corollaries(ctx, t)
-        out.append(t)
+        out.append(LinearMap(ring, matrix))
     return out
 
 
-def _assert_structural_corollaries(ctx: AlgebraContext, t: LinearMap):
-    """Every derivation must kill e_x, e_xxy, e_xyy and e_xzy (n = 3)."""
-    if ctx.n != 3:
-        return
-    ring = ctx.ring
-    zero = ring.zero()
-    p = ctx.poset
-    for idx, tup in enumerate(ctx.basis):
-        x, y, z = tup
-        special = (
-            x == y == z
-            or (x == y and p.lt(y, z))
-            or (p.lt(x, y) and y == z)
-            or (p.lt(x, y) and p.lt(y, z))
-        )
-        if special and any(v != zero for v in t.column(idx)):
-            raise AssertionError(
-                f"kernel vector violates a structural corollary at basis tuple {tup}"
-            )
+def moved_basis_tuple(ctx: AlgebraContext, t: LinearMap):
+    """The first basis tuple x with t(e_x) != 0, or None if t is zero.
+
+    For n = 3 every derivation kills every basis element, so any such tuple
+    names a theorem violation.
+    """
+    zero = ctx.ring.zero()
+    return next(
+        (ctx.basis[q] for q in range(ctx.dim) if any(v != zero for v in t.column(q))),
+        None,
+    )
 
 
 def check_derivation(ctx: AlgebraContext, t: LinearMap) -> bool:

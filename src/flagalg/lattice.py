@@ -5,10 +5,12 @@ quotient algebras and primitive idempotent decomposition.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from math import lcm
 
-from .algebra import AlgebraContext, FlagElement, StructureConstants, convolve, structure_constants
-from .linalg import Submodule, span
-from .rings import CapabilityError, Ring
+from .algebra import AlgebraContext, StructureConstants, structure_constants
+from .linalg import SparseEchelon, Submodule, span, to_sparse
+from .rings import CapabilityError
 
 
 class IdealError(Exception):
@@ -41,15 +43,6 @@ class AlgebraSubmodule:
     @property
     def basis(self):
         return self.submodule.basis
-
-    def basis_elements(self):
-        return [self.ctx.from_vector(row) for row in self.basis]
-
-    def contains_vector(self, v) -> bool:
-        return self.submodule.contains(v)
-
-    def contains_element(self, f: FlagElement) -> bool:
-        return self.submodule.contains(f.to_vector())
 
     def is_subset_of(self, other: "AlgebraSubmodule") -> bool:
         self._check(other)
@@ -98,132 +91,96 @@ def mul_submodule(u: AlgebraSubmodule, v: AlgebraSubmodule) -> AlgebraSubmodule:
     """Span of pairwise products of basis vectors (equals UV by bilinearity)."""
     u._check(v)
     ctx = u.ctx
-    ue = u.basis_elements()
-    ve = v.basis_elements()
-    prods = [convolve(a, b).to_vector() for a in ue for b in ve]
+    sc = structure_constants(ctx)
+    prods = [sc.multiply(a, b) for a in u.basis for b in v.basis]
     return AlgebraSubmodule(ctx, span(prods, ctx.ring, ctx.dim))
 
 
 def commutator_submodule(u: AlgebraSubmodule, v: AlgebraSubmodule) -> AlgebraSubmodule:
     u._check(v)
     ctx = u.ctx
-    ue = u.basis_elements()
-    ve = v.basis_elements()
-    vecs = [(convolve(a, b) - convolve(b, a)).to_vector() for a in ue for b in ve]
+    sc = structure_constants(ctx)
+    vecs = [sc.commutator_vec(a, b) for a in u.basis for b in v.basis]
     return AlgebraSubmodule(ctx, span(vecs, ctx.ring, ctx.dim))
+
+
+def commutator_chain(sc: StructureConstants):
+    """(C1, C2, C3) with C1 = [A, A] and C(k+1) = [Ck, Ck], as Submodules.
+
+    Brackets are antisymmetric, so the pairs i < j of each basis suffice.
+    """
+    ring, d = sc.ring, sc.dim
+    one, zero = ring.one(), ring.zero()
+    basis = [[one if i == j else zero for j in range(d)] for i in range(d)]
+    chain = []
+    for _ in range(3):
+        brackets = [sc.commutator_vec(u, v) for i, u in enumerate(basis) for v in basis[i + 1 :]]
+        chain.append(span(brackets, ring, d))
+        basis = chain[-1].basis
+    return tuple(chain)
 
 
 def z_chain(ctx: AlgebraContext):
     """(C1, C2, C3): commutator submodule and its two iterates, n = 3 only."""
     if ctx.n != 3:
         raise ValueError("the commutator chain is only supported for n = 3")
-    a = full_module(ctx)
-    c1 = commutator_submodule(a, a)
-    c2 = commutator_submodule(c1, c1)
-    c3 = commutator_submodule(c2, c2)
-    return c1, c2, c3
+    return tuple(AlgebraSubmodule(ctx, c) for c in commutator_chain(structure_constants(ctx)))
 
 
 class QuotientAlgebra:
-    """U/V for an ideal V of a subalgebra U, on a transversal basis.
+    """U/V for an ideal V of a subalgebra U of `algebra`, on a transversal.
 
-    Transversal representatives are the residues of U's canonical basis
-    after reduction modulo V, so lifting a quotient coordinate vector is a
-    plain linear combination of stored representatives.
+    Transversal representatives are the residues of U's canonical basis,
+    each reduced modulo V and the earlier residues and normalized to leading
+    coefficient 1.  Quotient coordinates are coefficients on these
+    representatives, so lifting is a plain linear combination.
     """
 
-    def __init__(self, numerator: AlgebraSubmodule, denominator: AlgebraSubmodule):
-        numerator._check(denominator)
-        ctx = numerator.ctx
-        ring = ctx.ring
-        if not (ring.is_field):
+    def __init__(self, algebra: StructureConstants, numerator: Submodule, denominator: Submodule):
+        ring = algebra.ring
+        if not ring.is_field:
             raise CapabilityError("quotient algebras are implemented over fields")
         if not denominator.is_subset_of(numerator):
             raise IdealError("denominator is not contained in the numerator")
-        self.ctx = ctx
         self.ring = ring
         self.numerator = numerator
         self.denominator = denominator
-        self._verify_closure_and_ideal()
-        self.transversal = self._build_transversal()
-        self.dim = len(self.transversal)
-        self.sc = self._induced_table()
-
-    def _verify_closure_and_ideal(self):
-        u_el = self.numerator.basis_elements()
-        v_el = self.denominator.basis_elements()
-        for a in u_el:
-            for b in u_el:
-                if not self.numerator.contains_element(convolve(a, b)):
-                    raise IdealError("numerator is not closed under the product")
-        for a in u_el:
-            for b in v_el:
-                if not self.denominator.contains_element(convolve(a, b)):
-                    raise IdealError("denominator is not a left ideal of the numerator")
-                if not self.denominator.contains_element(convolve(b, a)):
-                    raise IdealError("denominator is not a right ideal of the numerator")
-
-    def _build_transversal(self):
-        # reduce each numerator basis row modulo the denominator + previously
-        # accepted residues; nonzero residues form the transversal
-        ring = self.ring
-        zero = ring.zero()
-        ech = {}  # pivot col -> (row, None-or-transversal marker)
-        for row in self.denominator.basis:
-            r = list(row)
-            self._reduce_against(ech, r)
-            if any(x != zero for x in r):
-                piv = next(i for i, x in enumerate(r) if x != zero)
-                inv = ring.inv(r[piv])
-                ech[piv] = [ring.mul(inv, x) for x in r]
+        _verify_closure_and_ideal(algebra, numerator, denominator)
+        # stored rows are tagged by the transversal representative they
+        # carry, so reducing a vector of U yields its quotient coordinates
+        self._echelon = SparseEchelon(ring)
+        for row in denominator.basis:
+            self._echelon.add_row(to_sparse(row))
+        zero, one = ring.zero(), ring.one()
         transversal = []
-        self._ech = ech
-        self._transversal_pivots = []
-        for row in self.numerator.basis:
-            r = list(row)
-            self._reduce_against(ech, r)
-            if any(x != zero for x in r):
-                piv = next(i for i, x in enumerate(r) if x != zero)
-                inv = ring.inv(r[piv])
-                norm = [ring.mul(inv, x) for x in r]
-                ech[piv] = norm
-                self._transversal_pivots.append(piv)
-                transversal.append(tuple(norm))
-        return tuple(transversal)
-
-    def _reduce_against(self, ech, r):
-        ring = self.ring
-        zero = ring.zero()
-        for piv in sorted(ech):
-            c = r[piv]
-            if c != zero:
-                row = ech[piv]
-                for i in range(piv, len(r)):
-                    r[i] = ring.sub(r[i], ring.mul(c, row[i]))
+        for row in numerator.basis:
+            residue, _ = self._echelon.reduce(to_sparse(row))
+            if residue:
+                inv = ring.inv(residue[min(residue)])
+                rep = {c: ring.mul(inv, x) for c, x in residue.items()}
+                self._echelon.add_row(rep, {len(transversal): one})
+                transversal.append(tuple(rep.get(i, zero) for i in range(algebra.dim)))
+        self.transversal = tuple(transversal)
+        self.dim = len(transversal)
+        table = {}
+        for i, a in enumerate(self.transversal):
+            for j, b in enumerate(self.transversal):
+                coords = self.reduce(algebra.multiply(a, b))
+                table[(i, j)] = [(k, c) for k, c in enumerate(coords) if c != zero]
+        self.sc = StructureConstants(self.dim, ring, table)
 
     def reduce(self, vector):
         """Quotient coordinates of an ambient vector in U (else IdealError)."""
-        ring = self.ring
-        zero = ring.zero()
-        r = list(vector)
-        coords = {piv: zero for piv in self._transversal_pivots}
-        for piv in sorted(self._ech):
-            c = r[piv]
-            if c != zero:
-                row = self._ech[piv]
-                for i in range(piv, len(r)):
-                    r[i] = ring.sub(r[i], ring.mul(c, row[i]))
-                if piv in coords:
-                    coords[piv] = c
-        if any(x != zero for x in r):
+        residue, coords = self._echelon.reduce(to_sparse(vector))
+        if residue:
             raise IdealError("vector is not in the numerator submodule")
-        return [coords[piv] for piv in self._transversal_pivots]
+        return [coords.get(k, self.ring.zero()) for k in range(self.dim)]
 
     def lift(self, coords):
         """Ambient representative of a quotient coordinate vector."""
         ring = self.ring
         zero = ring.zero()
-        out = [zero] * self.ctx.dim
+        out = [zero] * self.numerator.ambient
         for c, rep in zip(coords, self.transversal):
             if c != zero:
                 for i, x in enumerate(rep):
@@ -231,68 +188,35 @@ class QuotientAlgebra:
                         out[i] = ring.add(out[i], ring.mul(c, x))
         return out
 
-    def _induced_table(self):
-        table = {}
-        reps = [self.ctx.from_vector(r) for r in self.transversal]
-        zero = self.ring.zero()
-        for i, a in enumerate(reps):
-            for j, b in enumerate(reps):
-                prod = convolve(a, b).to_vector()
-                coords = self.reduce(prod)
-                entry = [(k, c) for k, c in enumerate(coords) if c != zero]
-                if entry:
-                    table[(i, j)] = entry
-        return StructureConstants(self.dim, self.ring, table)
-
     def multiply(self, u, v):
         return self.sc.multiply(u, v)
 
-    def identity(self):
-        """The identity of the quotient, solved for exactly (or None)."""
-        return algebra_identity(self.sc)
+
+def _verify_closure_and_ideal(algebra, numerator, denominator):
+    for a in numerator.basis:
+        for b in numerator.basis:
+            if not numerator.contains(algebra.multiply(a, b)):
+                raise IdealError("numerator is not closed under the product")
+    for a in numerator.basis:
+        for b in denominator.basis:
+            if not denominator.contains(algebra.multiply(a, b)):
+                raise IdealError("denominator is not a left ideal of the numerator")
+            if not denominator.contains(algebra.multiply(b, a)):
+                raise IdealError("denominator is not a right ideal of the numerator")
 
 
 def quotient(u: AlgebraSubmodule, v: AlgebraSubmodule) -> QuotientAlgebra:
-    return QuotientAlgebra(u, v)
-
-
-def algebra_identity(sc: StructureConstants):
-    """Two-sided identity of an algebra given by structure constants, or None."""
-    from .linalg import solve
-
-    ring = sc.ring
-    d = sc.dim
-    if d == 0:
-        return []
-    zero, one = ring.zero(), ring.one()
-    rows = []
-    for q in range(d):
-        row = [zero] * (2 * d * d)
-        for j in range(d):
-            for k, c in sc.product_coeffs(q, j):
-                row[j * d + k] = ring.add(row[j * d + k], c)
-            for k, c in sc.product_coeffs(j, q):
-                off = d * d
-                row[off + j * d + k] = ring.add(row[off + j * d + k], c)
-        rows.append(row)
-    rhs = [zero] * (2 * d * d)
-    for j in range(d):
-        rhs[j * d + j] = one
-        rhs[d * d + j * d + j] = one
-    return solve(rows, rhs, ring)
+    u._check(v)
+    return QuotientAlgebra(structure_constants(u.ctx), u.submodule, v.submodule)
 
 
 def _rational_roots(coeffs, ring):
     """Distinct roots in the ring of the monic polynomial x^k + sum c_i x^i."""
-    from fractions import Fraction
-
     k = len(coeffs)
     if ring.is_field and hasattr(ring, "modulus"):
         return [ring.coerce(a) for a in range(ring.modulus) if _poly_val(coeffs, ring.coerce(a), ring) == ring.zero()]
     # rationals: clear denominators, apply the rational root theorem
-    denom = 1
-    for c in coeffs:
-        denom = denom * Fraction(c).denominator // _gcd(denom, Fraction(c).denominator)
+    denom = lcm(*(Fraction(c).denominator for c in coeffs))
     ints = [int(Fraction(c) * denom) for c in coeffs] + [denom]  # degree-k coeff
     roots = []
     if _poly_val(coeffs, Fraction(0), ring) == 0:
@@ -307,12 +231,6 @@ def _rational_roots(coeffs, ring):
                     if cand not in roots and _poly_val(coeffs, cand, ring) == 0:
                         roots.append(cand)
     return roots
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):
@@ -352,7 +270,8 @@ def primitive_idempotents(q, seed: int = 0):
         raise SplittingError("algebra is not commutative")
     if sc.dim == 0:
         return []
-    identity = algebra_identity(sc)
+    # a left identity of a commutative algebra is its identity
+    identity = sc.identity("left")
     if identity is None:
         raise SplittingError("algebra has no identity; not a product of copies of R")
     rng = random.Random(seed)
@@ -369,14 +288,12 @@ def _split(sc, basis, unit, rng, budget):
     """
     ring = sc.ring
     zero = ring.zero()
-    # component basis: span of unit * b over a spanning set; compute via span
-    from .linalg import SparseEchelon
-
+    # component basis: span of unit * b over a spanning set
     ech = SparseEchelon(ring)
     comp = []
     for b in basis:
         vec = sc.multiply(unit, b)
-        if ech.add_row({i: v for i, v in enumerate(vec) if v != zero}):
+        if ech.add_row(to_sparse(vec)):
             comp.append(vec)
     dim = len(comp)
     if dim == 1:
@@ -440,29 +357,13 @@ def _min_poly_component(sc, unit, t, ring):
     x^k + c_{k-1} x^{k-1} + ... + c_0.
     """
     zero = ring.zero()
-    stored = []  # (pivot index, reduced vector, power combination)
+    ech = SparseEchelon(ring)  # powers t^0 .. t^(k-1), row i tagged i
     power = list(unit)
-    k = 0
-    while True:
-        vec = list(power)
-        combo = [zero] * k + [ring.one()]
-        for piv, pvec, pcombo in stored:
-            c = vec[piv]
-            if c != zero:
-                vec = [ring.sub(a, ring.mul(c, b)) for a, b in zip(vec, pvec)]
-                combo = [
-                    ring.sub(a, ring.mul(c, b))
-                    for a, b in zip(combo, pcombo + [zero] * (len(combo) - len(pcombo)))
-                ]
-        if all(x == zero for x in vec):
-            # sum combo[i] t^i = 0 with combo[k] = 1
-            return combo[:k]
-        piv = next(i for i, x in enumerate(vec) if x != zero)
-        inv = ring.inv(vec[piv])
-        stored.append(
-            (piv, [ring.mul(inv, x) for x in vec], [ring.mul(inv, x) for x in combo])
-        )
+    for k in range(sc.dim + 2):
+        residue, coords = ech.reduce(to_sparse(power))
+        if not residue:
+            # t^k = sum coords[i] t^i
+            return [ring.neg(coords.get(i, zero)) for i in range(k)]
+        ech.add_row(residue, {i: ring.neg(c) for i, c in coords.items()} | {k: ring.one()})
         power = sc.multiply(power, t)
-        k += 1
-        if k > sc.dim + 1:
-            raise SplittingError("minimal polynomial search did not terminate")
+    raise SplittingError("minimal polynomial search did not terminate")

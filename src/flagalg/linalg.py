@@ -2,9 +2,10 @@
 
 Submodules of R^d are kept in a canonical basis (reduced row echelon form
 over fields, row-style Hermite normal form over Z), so equal submodules
-compare bit-identically.  Vectors are plain lists/tuples of ring scalars;
-large sparse systems go through SparseEchelon which stores rows as
-column->scalar dicts.
+compare bit-identically.  Vectors are plain lists/tuples of ring scalars
+(Fractions or ints, so a scalar's truthiness is its zero test).  Every
+elimination over a field goes through SparseEchelon, which stores
+rows as column->scalar dicts; Z goes through the Hermite normal form.
 """
 
 from __future__ import annotations
@@ -23,12 +24,28 @@ def _require_submodule_support(ring: Ring):
         )
 
 
+def _sub_scaled(target: dict, a, source: dict, ring: Ring):
+    """target -= a * source on sparse dicts, in place, dropping zeros."""
+    zero = ring.zero()
+    for c, v in source.items():
+        nv = ring.sub(target.get(c, zero), ring.mul(a, v))
+        if not nv:
+            target.pop(c, None)
+        else:
+            target[c] = nv
+
+
 class SparseEchelon:
     """Incrementally maintained fully-reduced echelon form over a field.
 
     Rows are dicts mapping column index to a nonzero scalar.  Each accepted
     pivot row is normalized to pivot 1 and its pivot column is eliminated
     from every other stored row, so reading off kernels is immediate.
+
+    A row may carry a tag, a sparse dict naming it as a combination of
+    labelled generators; untagged rows count as zero.  Every row operation
+    is applied to the tags as well, so `reduce` can say which combination
+    of generators it subtracted.
     """
 
     def __init__(self, ring: Ring):
@@ -36,53 +53,53 @@ class SparseEchelon:
             raise CapabilityError("SparseEchelon requires a field")
         self.ring = ring
         self.pivots = {}  # pivot column -> row dict
+        self.tags = {}  # pivot column -> tag dict
 
-    def reduce(self, row: dict) -> dict:
-        """Return row reduced against the current pivots (row is consumed)."""
+    def reduce(self, row: dict):
+        """Reduce row against the stored rows; return (residue, coords).
+
+        The residue is zero on every pivot column.  coords sums the tags of
+        the rows subtracted, so row - residue equals the generators combined
+        by coords, plus a combination of untagged rows.
+        """
         ring = self.ring
         zero = ring.zero()
+        row = dict(row)
+        coords = {}
         for col in sorted(row):
-            if col not in row:
-                continue
             piv = self.pivots.get(col)
             if piv is None:
                 continue
-            coeff = row[col]
-            if coeff == zero:
-                del row[col]
+            coeff = row.get(col, zero)
+            if not coeff:
                 continue
-            for c, v in piv.items():
-                cur = row.get(c, zero)
-                nv = ring.sub(cur, ring.mul(coeff, v))
-                if nv == zero:
-                    row.pop(c, None)
-                else:
-                    row[c] = nv
-        return {c: v for c, v in row.items() if v != zero}
+            _sub_scaled(row, coeff, piv, ring)
+            if self.tags[col]:
+                _sub_scaled(coords, ring.neg(coeff), self.tags[col], ring)
+        return {c: v for c, v in row.items() if v}, coords
 
-    def add_row(self, row: dict) -> bool:
-        """Insert a row; returns True if it increased the rank."""
+    def add_row(self, row: dict, tag: dict | None = None) -> bool:
+        """Insert a row labelled `tag`; returns True if it increased the rank."""
         ring = self.ring
-        zero = ring.zero()
-        row = self.reduce(dict(row))
+        row, coords = self.reduce(row)
         if not row:
             return False
+        tag = dict(tag or {})
+        _sub_scaled(tag, ring.one(), coords, ring)
         pcol = min(row)
         pinv = ring.inv(row[pcol])
         row = {c: ring.mul(pinv, v) for c, v in row.items()}
+        tag = {c: ring.mul(pinv, v) for c, v in tag.items()}
         # eliminate the new pivot column from existing rows
-        for other in self.pivots.values():
+        for col, other in self.pivots.items():
             coeff = other.get(pcol)
             if coeff is None:
                 continue
-            for c, v in row.items():
-                cur = other.get(c, zero)
-                nv = ring.sub(cur, ring.mul(coeff, v))
-                if nv == zero:
-                    other.pop(c, None)
-                else:
-                    other[c] = nv
+            _sub_scaled(other, coeff, row, ring)
+            if tag:
+                _sub_scaled(self.tags[col], coeff, tag, ring)
         self.pivots[pcol] = row
+        self.tags[pcol] = tag
         return True
 
     @property
@@ -106,12 +123,17 @@ class SparseEchelon:
         return basis
 
 
+def to_sparse(vector) -> dict:
+    """The nonzero entries of a dense vector as a column -> scalar dict."""
+    return {i: v for i, v in enumerate(vector) if v}
+
+
 def rref(rows, ring: Ring):
     """Reduced row echelon form; returns (canonical nonzero rows, pivot cols)."""
     ech = SparseEchelon(ring)
     zero = ring.zero()
     for r in rows:
-        ech.add_row({i: v for i, v in enumerate(r) if v != zero})
+        ech.add_row(to_sparse(r))
     width = max((len(r) for r in rows), default=0)
     out = []
     for pcol in sorted(ech.pivots):
@@ -214,13 +236,14 @@ def hnf_with_transform(rows):
 class Submodule:
     """An R-submodule of R^d in canonical basis form."""
 
-    __slots__ = ("ring", "ambient", "basis", "_pivots")
+    __slots__ = ("ring", "ambient", "basis", "_pivots", "_echelon")
 
     def __init__(self, ring: Ring, ambient: int, canonical_basis, pivots):
         self.ring = ring
         self.ambient = ambient
         self.basis = tuple(tuple(r) for r in canonical_basis)
         self._pivots = tuple(pivots)
+        self._echelon = None  # field only: the basis, row k tagged k
 
     @property
     def rank(self) -> int:
@@ -251,10 +274,9 @@ class Submodule:
     def reduce(self, vector):
         """Coefficients of vector on the canonical basis, or None if outside."""
         ring = self.ring
-        zero = ring.zero()
-        v = list(vector)
-        coeffs = []
         if isinstance(ring, Integers):
+            v = list(vector)
+            coeffs = []
             for (pc, row) in zip(self._pivots, self.basis):
                 q, r = divmod(v[pc], row[pc])
                 if r != 0:
@@ -263,16 +285,15 @@ class Submodule:
                     for i in range(pc, self.ambient):
                         v[i] -= q * row[i]
                 coeffs.append(q)
-        else:
-            for (pc, row) in zip(self._pivots, self.basis):
-                c = v[pc]
-                if c != zero:
-                    for i in range(pc, self.ambient):
-                        v[i] = ring.sub(v[i], ring.mul(c, row[i]))
-                coeffs.append(c)
-        if any(x != zero for x in v):
+            return None if any(v) else coeffs
+        if self._echelon is None:
+            self._echelon = SparseEchelon(ring)
+            for k, row in enumerate(self.basis):
+                self._echelon.add_row(to_sparse(row), {k: ring.one()})
+        residue, coords = self._echelon.reduce(to_sparse(vector))
+        if residue:
             return None
-        return coeffs
+        return [coords.get(k, ring.zero()) for k in range(self.rank)]
 
     def is_subset_of(self, other: "Submodule") -> bool:
         return all(other.contains(row) for row in self.basis)
@@ -311,12 +332,8 @@ def kernel(rows, width: int, ring: Ring) -> Submodule:
     _require_submodule_support(ring)
     if ring.is_field:
         ech = SparseEchelon(ring)
-        zero = ring.zero()
         for r in rows:
-            if isinstance(r, dict):
-                ech.add_row(r)
-            else:
-                ech.add_row({i: v for i, v in enumerate(r) if v != zero})
+            ech.add_row(r if isinstance(r, dict) else to_sparse(r))
         return span(ech.kernel_basis(width), ring, width)
     # Z: the integer kernel depends only on the Q-row-space, so first reduce
     # over Q to at most `width` independent rows, clear denominators, then
@@ -346,89 +363,13 @@ def kernel(rows, width: int, ring: Ring) -> Submodule:
     return span(kernel_rows, ring, width)
 
 
-def solve(rows, rhs, ring: Ring):
-    """One solution x of sum_i x_i * rows[i] = rhs over a field, or None."""
-    if not ring.is_field:
-        raise CapabilityError("solve requires a field")
-    zero = ring.zero()
-    n = len(rows)
-    if n == 0:
-        return [] if all(x == zero for x in rhs) else None
-    width = len(rows[0])
-    # eliminate on [rows^T | rhs] by tracking combinations
-    ech = SparseEchelon(ring)
-    tags = {}  # pivot col in extended space -> generator combination
-    # augmented columns: width coords + n tag coords (tags never become pivots
-    # before coordinate columns since coordinate columns come first)
-    for i, r in enumerate(rows):
-        row = {j: v for j, v in enumerate(r) if v != zero}
-        row[width + i] = ring.one()
-        ech.add_row(row)
-    # Reduce the target; pivot rows carry their tag columns, so after full
-    # reduction the surviving tag entries are the negated combination.
-    combo = [zero] * n
-    v = {j: val for j, val in enumerate(rhs) if val != zero}
-    for col in sorted(ech.pivots):
-        piv = ech.pivots[col]
-        coeff = v.get(col)
-        if coeff is None or coeff == zero:
-            continue
-        for c, val in piv.items():
-            nv = ring.sub(v.get(c, zero), ring.mul(coeff, val))
-            if nv == zero:
-                v.pop(c, None)
-            else:
-                v[c] = nv
-    if any(c < width and val != zero for c, val in v.items()):
-        return None
-    for c, val in v.items():
-        if c >= width:
-            combo[c - width] = ring.neg(val)
-    return combo
-
-
-def invert_matrix(matrix, ring: Ring):
-    """Exact inverse of a square matrix over a field, or None if singular."""
-    n = len(matrix)
-    zero, one = ring.zero(), ring.one()
-    a = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(matrix)]
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, n) if a[i][c] != zero), None)
-        if p is None:
-            return None
-        a[r], a[p] = a[p], a[r]
-        inv = ring.inv(a[r][c])
-        a[r] = [ring.mul(inv, x) for x in a[r]]
-        for i in range(n):
-            if i != r and a[i][c] != zero:
-                f = a[i][c]
-                a[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(a[i], a[r])]
-        r += 1
-    return [row[n:] for row in a]
-
-
 def mat_vec(matrix, vector, ring: Ring):
     zero = ring.zero()
     out = []
     for row in matrix:
         acc = zero
         for a, b in zip(row, vector):
-            if a != zero and b != zero:
+            if a and b:
                 acc = ring.add(acc, ring.mul(a, b))
         out.append(acc)
     return out
-
-
-def mat_mul(a, b, ring: Ring):
-    bt = list(zip(*b))
-    return [[_dot(row, col, ring) for col in bt] for row in a]
-
-
-def _dot(u, v, ring: Ring):
-    zero = ring.zero()
-    acc = zero
-    for a, b in zip(u, v):
-        if a != zero and b != zero:
-            acc = ring.add(acc, ring.mul(a, b))
-    return acc

@@ -8,8 +8,14 @@ from __future__ import annotations
 import random
 
 from .algebra import AlgebraContext, StructureConstants, structure_constants
-from .lattice import SplittingError, algebra_identity, primitive_idempotents
-from .linalg import SparseEchelon, invert_matrix, mat_vec, span
+from .lattice import (
+    IdealError,
+    QuotientAlgebra,
+    SplittingError,
+    commutator_chain,
+    primitive_idempotents,
+)
+from .linalg import SparseEchelon, mat_vec, span, to_sparse
 from .posets import Poset, find_isomorphism, is_order_isomorphism
 from .rings import CapabilityError, Ring
 
@@ -28,12 +34,6 @@ class AbstractAlgebra:
                 f"{ring.name} is decomposable; reconstruction theory requires an "
                 "indecomposable coefficient ring"
             )
-        for (i, j), entry in sc.table.items():
-            if not (0 <= i < sc.dim and 0 <= j < sc.dim):
-                raise ValueError("table indices out of range")
-            for k, _c in entry:
-                if not 0 <= k < sc.dim:
-                    raise ValueError("table indices out of range")
         self.sc = sc
         self.ring = ring
         self.dim = sc.dim
@@ -62,15 +62,20 @@ class LinearMap:
     def column(self, j):
         return [row[j] for row in self.matrix]
 
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        # (self . other)(v) = self(other(v))
-        from .linalg import mat_mul
-
-        return LinearMap(self.ring, mat_mul(self.matrix, other.matrix, self.ring))
-
     def inverse(self):
-        inv = invert_matrix([list(r) for r in self.matrix], self.ring)
-        return None if inv is None else LinearMap(self.ring, inv)
+        """The inverse map over a field, or None if singular."""
+        ring, d = self.ring, self.dim
+        # row j of the echelon is column j of the map, tagged j, so reducing
+        # e_i yields the coordinates of e_i on the columns: column i of the
+        # inverse
+        ech = SparseEchelon(ring)
+        for j in range(d):
+            ech.add_row(to_sparse(self.column(j)), {j: ring.one()})
+        if ech.rank < d:
+            return None
+        cols = [ech.reduce({i: ring.one()})[1] for i in range(d)]
+        zero = ring.zero()
+        return LinearMap(ring, [[cols[i].get(k, zero) for i in range(d)] for k in range(d)])
 
     def __eq__(self, other):
         return (
@@ -88,77 +93,8 @@ class LinearMap:
         return cls(ring, [[one if i == j else zero for j in range(dim)] for i in range(dim)])
 
 
-class _CosetSpace:
-    """Quotient of the full coefficient space by a submodule, for abstract
-    algebras (no flag context): transversal reps and induced products."""
-
-    def __init__(self, sc: StructureConstants, denom_basis):
-        ring = sc.ring
-        zero = ring.zero()
-        self.sc = sc
-        self.ring = ring
-        self.denom = span(list(denom_basis), ring, sc.dim) if denom_basis else span([], ring, sc.dim)
-        ech = {}
-        for row in self.denom.basis:
-            piv = next(i for i, x in enumerate(row) if x != zero)
-            ech[piv] = list(row)
-        self._ech = ech
-        self.free = [i for i in range(sc.dim) if i not in ech]
-        self.dim = len(self.free)
-        one = ring.one()
-        self.transversal = []
-        for f in self.free:
-            v = [zero] * sc.dim
-            v[f] = one
-            self.transversal.append(v)
-        table = {}
-        for a, ta in enumerate(self.transversal):
-            for b, tb in enumerate(self.transversal):
-                prod = sc.multiply(ta, tb)
-                coords = self.reduce(prod)
-                entry = [(k, c) for k, c in enumerate(coords) if c != zero]
-                if entry:
-                    table[(a, b)] = entry
-        self.quotient_sc = StructureConstants(self.dim, ring, table)
-
-    def reduce(self, vector):
-        ring = self.ring
-        zero = ring.zero()
-        v = list(vector)
-        for piv in sorted(self._ech):
-            c = v[piv]
-            if c != zero:
-                row = self._ech[piv]
-                for i in range(piv, len(v)):
-                    v[i] = ring.sub(v[i], ring.mul(c, row[i]))
-        return [v[f] for f in self.free]
-
-    def lift(self, coords):
-        ring = self.ring
-        zero = ring.zero()
-        out = [zero] * self.sc.dim
-        for c, f in zip(coords, self.free):
-            out[f] = c
-        return out
-
-    def verify_ideal(self, space_basis):
-        """Check u*v, v*u land in the denominator for u in space_basis, v in denom."""
-        for u in space_basis:
-            for v in self.denom.basis:
-                if not self.denom.contains(self.sc.multiply(u, list(v))):
-                    return False
-                if not self.denom.contains(self.sc.multiply(list(v), u)):
-                    return False
-        return True
-
-
-def _span_of_products(sc, left_basis, right_basis, bracket):
-    ring = sc.ring
-    vecs = []
-    for u in left_basis:
-        for v in right_basis:
-            vecs.append(bracket(list(u), list(v)))
-    return span(vecs, ring, sc.dim)
+def _leading_index(v):
+    return next(i for i, x in enumerate(v) if x)
 
 
 def reconstruct_poset(a: AbstractAlgebra, seed: int = 0):
@@ -176,53 +112,49 @@ def reconstruct_poset(a: AbstractAlgebra, seed: int = 0):
             f"reconstruction requires a field (got {ring.name}); re-run over Q"
         )
     d = sc.dim
-    c1 = span(sc.basis_commutators(), ring, d) if d else span([], ring, d)
-    cs1 = _CosetSpace(sc, c1.basis)
+    c1, c2, c3 = commutator_chain(sc)
     one, zero = ring.one(), ring.zero()
     std = [[one if i == j else zero for j in range(d)] for i in range(d)]
-    if not cs1.verify_ideal(std):
+    try:
+        q1 = QuotientAlgebra(sc, span(std, ring, d), c1)
+    except IdealError:
         raise ReconstructionError("the commutator submodule is not an ideal")
     try:
-        elem_idems = primitive_idempotents(cs1.quotient_sc, seed=seed)
+        elem_idems = primitive_idempotents(q1, seed=seed)
     except SplittingError as exc:
         raise ReconstructionError(f"element quotient did not split: {exc}")
-    elements = [cs1.lift(e) for e in elem_idems]
     # order by leading coordinate so canonical input labels elements by the
-    # position of e_(x,...,x) in the basis
-    elements.sort(key=lambda v: next(i for i, x in enumerate(v) if x != zero))
+    # position of e_(x,...,x) in the basis; ties by the lift itself, which
+    # does not depend on the quotient's coordinates
+    elements = sorted((q1.lift(e) for e in elem_idems), key=lambda v: (_leading_index(v), v))
     m = len(elements)
 
-    c2 = _span_of_products(sc, c1.basis, c1.basis, sc.commutator_vec)
-    c3 = _span_of_products(sc, c2.basis, c2.basis, sc.commutator_vec)
     # pipeline self-checks: C1*C2 <= C2 and A*C3 <= C2 make the endpoint
     # attachment independent of the choice of lifts
     for u in c1.basis:
         for v in c2.basis:
-            if not c2.contains(sc.multiply(list(u), list(v))):
+            if not c2.contains(sc.multiply(u, v)):
                 raise ReconstructionError("C1*C2 is not contained in C2")
     for u in std:
         for v in c3.basis:
-            if not c2.contains(sc.multiply(u, list(v))):
+            if not c2.contains(sc.multiply(u, v)):
                 raise ReconstructionError("A*C3 is not contained in C2")
-            if not c2.contains(sc.multiply(list(v), u)):
+            if not c2.contains(sc.multiply(v, u)):
                 raise ReconstructionError("C3*A is not contained in C2")
 
     covers = []
     cover_lifts = []
     if c2.rank > c3.rank:
-        cover_lifts_q = _cover_idempotents(sc, c2, c3, seed)
-        cover_lifts_q.sort(key=lambda v: next(i for i, x in enumerate(v) if x != zero))
-        for f in cover_lifts_q:
-            src = [
-                x
-                for x in range(m)
-                if not c2.contains(sc.multiply(elements[x], f))
-            ]
-            tgt = [
-                y
-                for y in range(m)
-                if not c2.contains(sc.multiply(f, elements[y]))
-            ]
+        try:
+            q2 = QuotientAlgebra(sc, c2, c3)
+            cover_idems = primitive_idempotents(q2, seed=seed)
+        except IdealError as exc:
+            raise ReconstructionError(f"C2/C3 is not a quotient algebra: {exc}")
+        except SplittingError as exc:
+            raise ReconstructionError(f"cover quotient did not split: {exc}")
+        for f in sorted((q2.lift(e) for e in cover_idems), key=_leading_index):
+            src = [x for x in range(m) if not c2.contains(sc.multiply(elements[x], f))]
+            tgt = [y for y in range(m) if not c2.contains(sc.multiply(f, elements[y]))]
             if len(src) != 1 or len(tgt) != 1 or src == tgt:
                 raise ReconstructionError(
                     "cover endpoint attachment is not unique; input is not a "
@@ -230,8 +162,6 @@ def reconstruct_poset(a: AbstractAlgebra, seed: int = 0):
                 )
             covers.append((src[0], tgt[0]))
             cover_lifts.append(f)
-    elif c2.rank != c3.rank:
-        raise ReconstructionError("commutator chain ranks decreased unexpectedly")
 
     if len(set(covers)) != len(covers):
         raise ReconstructionError("duplicate cover recovered")
@@ -242,72 +172,6 @@ def reconstruct_poset(a: AbstractAlgebra, seed: int = 0):
     if set(poset.covers) != set(covers):
         raise ReconstructionError("recovered cover relation is not its own cover set")
     return poset, elements, cover_lifts
-
-
-def _cover_idempotents(sc, c2, c3, seed):
-    """Primitive idempotents of C2/C3, lifted to ambient coordinates."""
-    ring = sc.ring
-    zero = ring.zero()
-    # transversal of C3 inside C2
-    ech = {}
-    for row in c3.basis:
-        piv = next(i for i, x in enumerate(row) if x != zero)
-        ech[piv] = list(row)
-    reps = []
-    rep_pivots = []
-    for row in c2.basis:
-        r = list(row)
-        for piv in sorted(ech):
-            c = r[piv]
-            if c != zero:
-                prow = ech[piv]
-                for i in range(piv, len(r)):
-                    r[i] = ring.sub(r[i], ring.mul(c, prow[i]))
-        if any(x != zero for x in r):
-            piv = next(i for i, x in enumerate(r) if x != zero)
-            inv = ring.inv(r[piv])
-            norm = [ring.mul(inv, x) for x in r]
-            ech[piv] = norm
-            rep_pivots.append(piv)
-            reps.append(norm)
-
-    def reduce_coords(vector):
-        v = list(vector)
-        coords = {p: zero for p in rep_pivots}
-        for piv in sorted(ech):
-            c = v[piv]
-            if c != zero:
-                prow = ech[piv]
-                for i in range(piv, len(v)):
-                    v[i] = ring.sub(v[i], ring.mul(c, prow[i]))
-                if piv in coords:
-                    coords[piv] = c
-        if any(x != zero for x in v):
-            raise ReconstructionError("product left the C2 subalgebra")
-        return [coords[p] for p in rep_pivots]
-
-    table = {}
-    for i, u in enumerate(reps):
-        for j, v in enumerate(reps):
-            coords = reduce_coords(sc.multiply(u, v))
-            entry = [(k, c) for k, c in enumerate(coords) if c != zero]
-            if entry:
-                table[(i, j)] = entry
-    qsc = StructureConstants(len(reps), ring, table)
-    try:
-        idems = primitive_idempotents(qsc, seed=seed)
-    except SplittingError as exc:
-        raise ReconstructionError(f"cover quotient did not split: {exc}")
-    lifted = []
-    for e in idems:
-        amb = [zero] * sc.dim
-        for c, rep in zip(e, reps):
-            if c != zero:
-                for i, x in enumerate(rep):
-                    if x != zero:
-                        amb[i] = ring.add(amb[i], ring.mul(c, x))
-        lifted.append(amb)
-    return lifted
 
 
 def scramble(ctx: AlgebraContext, seed: int) -> AbstractAlgebra:
@@ -473,25 +337,10 @@ def enumerate_isomorphisms_exhaustive(a, b):
                         w ^= row[j]
         return w
 
-    def invertible(cols):
-        rows = list(cols)
-        rank = 0
-        for bit in range(d):
-            p = next((i for i in range(rank, d) if rows[i] >> bit & 1), None)
-            if p is None:
-                continue
-            rows[rank], rows[p] = rows[p], rows[rank]
-            for i in range(d):
-                if i != rank and rows[i] >> bit & 1:
-                    rows[i] ^= rows[rank]
-            rank += 1
-        return rank == d
-
     found = []
+    zero, one = ring.zero(), ring.one()
     for code in range(1 << (d * d)):
         cols = [(code >> (d * i)) & ((1 << d) - 1) for i in range(d)]
-        if not invertible(cols):
-            continue
 
         def apply_t(mask):
             w = 0
@@ -500,19 +349,11 @@ def enumerate_isomorphisms_exhaustive(a, b):
                     w ^= cols[i]
             return w
 
-        ok = True
-        for i in range(d):
-            for j in range(d):
-                if apply_t(amask[i][j]) != mul_b(cols[i], cols[j]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            zero, one = ring.zero(), ring.one()
-            matrix = [
-                [one if cols[j] >> r & 1 else zero for j in range(d)]
-                for r in range(d)
-            ]
-            found.append(LinearMap(ring, matrix))
+        multiplicative = all(
+            apply_t(amask[i][j]) == mul_b(cols[i], cols[j]) for i in range(d) for j in range(d)
+        )
+        if multiplicative:
+            t = LinearMap(ring, [[one if cols[j] >> r & 1 else zero for j in range(d)] for r in range(d)])
+            if t.inverse() is not None:
+                found.append(t)
     return found

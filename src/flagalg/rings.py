@@ -129,7 +129,10 @@ class Rationals(Ring):
         return str(a)
 
     def parse(self, s):
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {s!r}") from None
 
 
 class Integers(Ring):

@@ -14,7 +14,6 @@ from flagalg.algebra import (
     basis_product,
     commutator,
     convolve,
-    has_one_sided_identity,
     power_assoc_witness,
     structure_constants,
 )
@@ -132,19 +131,19 @@ class TestPowerAssociativity:
 
 class TestIdentity:
     def test_classical_algebra_is_unital(self):
-        ctx = AlgebraContext(chain(3), 2, Q)
-        assert has_one_sided_identity(ctx, "left")
-        assert has_one_sided_identity(ctx, "right")
+        sc = structure_constants(AlgebraContext(chain(3), 2, Q))
+        assert sc.identity("left") is not None
+        assert sc.identity("right") is not None
 
     def test_third_flag_algebra_has_no_identity(self):
         for p in enumerate_posets(3):
-            ctx = AlgebraContext(p, 3, Q)
+            sc = structure_constants(AlgebraContext(p, 3, Q))
             if p.covers:
-                assert not has_one_sided_identity(ctx, "left")
-                assert not has_one_sided_identity(ctx, "right")
+                assert sc.identity("left") is None
+                assert sc.identity("right") is None
             else:
                 # an antichain's algebra is a product of copies of R
-                assert has_one_sided_identity(ctx, "left")
+                assert sc.identity("left") is not None
 
 
 class TestStructureConstants:

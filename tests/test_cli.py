@@ -1,10 +1,20 @@
 """Command line harness: exit codes, determinism, report shapes."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from flagalg import cli, derivations, suites
+from flagalg.algebra import AlgebraContext
+from flagalg.linalg import span
+from flagalg.posets import chain, enumerate_posets
+from flagalg.reconstruction import scramble
+from flagalg.rings import PrimeField, Rationals
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 CHAIN2 = "elements: a b\ncovers:\na b\n"
 ZERO_TABLE = '{"dim":2,"ring":"Q","table":[]}'
@@ -84,6 +94,25 @@ class TestExitCodes:
     def test_ring_mismatch_is_input_error(self, zero_table):
         assert run_cli("reconstruct", zero_table, "--ring", "Fp:2").returncode == 2
 
+    @pytest.mark.parametrize(
+        "table",
+        [
+            '{"dim":2,"ring":"Q","table":[[0,0,5]]}',
+            "[[0, 0, [[1, \"1\"]]]]",
+            '{"dim":2,"ring":"Q","table":[[0,0,[[1,"1/0"]]]]}',
+            '{"dim":-1,"ring":"Q","table":[]}',
+        ],
+        ids=["entry-not-a-list", "top-level-list", "zero-denominator", "negative-dim"],
+    )
+    def test_malformed_table_is_input_error(self, tmp_path, table):
+        f = tmp_path / "bad.json"
+        f.write_text(table)
+        r = run_cli("reconstruct", str(f))
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: malformed structure constants JSON")
+        assert r.stderr.count("\n") == 1
+
     def test_malformed_poset(self, tmp_path):
         bad = tmp_path / "bad.poset"
         bad.write_text("covers:\na b\n")
@@ -110,6 +139,16 @@ class TestReconstruct:
         assert report["size"] == 3
         assert report["covers"] == [[0, 1], [1, 2]]
 
+    def test_report_order_is_pinned(self, tmp_path):
+        # two element lifts of this scrambled table share a leading index,
+        # so the report order comes from the tie-break on the lift vector
+        ctx = AlgebraContext(enumerate_posets(4)[1], 3, PrimeField(3))
+        f = tmp_path / "scrambled.json"
+        f.write_text(scramble(ctx, 2).sc.to_json())
+        r = run_cli("reconstruct", str(f), "--ring", "Fp:3", "--seed", "2")
+        assert r.returncode == 0
+        assert r.stdout == (DATA / "reconstruct_order_fp3_seed2.json").read_text()
+
 
 class TestDerivations:
     def test_trivial_for_three_flags(self, chain2):
@@ -121,6 +160,26 @@ class TestDerivations:
         r = run_cli("derivations", chain2, "--n", "2")
         assert r.returncode == 0
         assert json.loads(r.stdout)["kernel_rank"] == 2
+
+    def test_nonzero_kernel_is_reported_violation(self, chain2, monkeypatch, capsys):
+        # a nonzero n = 3 kernel must be reported, not crash: fake a kernel
+        # holding the map with D[0][0] = 1, which moves e_(0,0,0)
+        def fake_kernel(rows, width, ring):
+            return span([[ring.one()] + [ring.zero()] * (width - 1)], ring, width)
+
+        monkeypatch.setattr(derivations, "kernel", fake_kernel)
+        assert cli.main(["derivations", chain2]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "THEOREM VIOLATION"
+        assert report["violation"] == {"basis_tuple": [0, 0, 0], "direct_check": "fail"}
+        entries = suites.suite_derivations(chain(2), Rationals())
+        assert entries == [
+            {
+                "theorem": "derivations-trivial-n3",
+                "status": "fail",
+                "counterexample": {"kernel_rank": 1, "basis_tuple": [0, 0, 0]},
+            }
+        ]
 
     def test_higher_n_is_flagged_unverified(self, chain2):
         r = run_cli("derivations", chain2, "--n", "4")

@@ -6,7 +6,6 @@ from flagalg.algebra import AlgebraContext, structure_constants
 from flagalg.lattice import (
     AlgebraSubmodule,
     IdealError,
-    algebra_identity,
     commutator_submodule,
     full_module,
     ideal_J,
@@ -117,7 +116,7 @@ class TestQuotient:
         q = quotient(full_module(ctx), c1)
         assert q.dim == ctx.poset.size
         assert q.sc.is_commutative()
-        assert algebra_identity(q.sc) is not None
+        assert q.sc.identity("left") is not None
 
     def test_reduce_lift_roundtrip(self):
         ctx = AlgebraContext(chain(3), 3, Q)
@@ -146,7 +145,7 @@ class TestPrimitiveIdempotents:
         c1, _, _ = z_chain(ctx)
         q = quotient(full_module(ctx), c1)
         idems = primitive_idempotents(q)
-        unit = q.identity()
+        unit = q.sc.identity("left")
         total = [Q.zero()] * q.dim
         for e in idems:
             assert q.multiply(e, e) == list(e)
@@ -169,9 +168,10 @@ class TestPrimitiveIdempotents:
         assert len(primitive_idempotents(q)) == 3
 
 
-def test_algebra_identity_absent():
+def test_identity_absent():
     # a structure-constants table with no identity: 2-dim zero algebra
     from flagalg.algebra import StructureConstants
 
     sc = StructureConstants(2, Q, {})
-    assert algebra_identity(sc) is None
+    assert sc.identity("left") is None
+    assert sc.identity("right") is None

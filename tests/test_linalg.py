@@ -8,16 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagalg.linalg import (
+    SparseEchelon,
     hnf,
     hnf_with_transform,
-    invert_matrix,
     kernel,
-    mat_mul,
     mat_vec,
     rref,
-    solve,
     span,
 )
+from flagalg.reconstruction import LinearMap
 from flagalg.rings import Integers, PrimeField, Rationals
 
 Q = Rationals()
@@ -83,10 +82,11 @@ def test_hnf_determinant_preserved():
 @given(matrices(3, 3))
 def test_hnf_transform_is_unimodular(rows):
     h, u = hnf_with_transform(rows)
-    assert mat_mul(u, rows, Z) == [list(r) for r in h]
-    inv = invert_matrix([[Fraction(x) for x in r] for r in u], Q)
+    product = [[sum(a * b for a, b in zip(r, col)) for col in zip(*rows)] for r in u]
+    assert product == [list(r) for r in h]
+    inv = LinearMap(Q, [[Fraction(x) for x in r] for r in u]).inverse()
     assert inv is not None
-    assert all(x.denominator == 1 for r in inv for x in r)
+    assert all(x.denominator == 1 for r in inv.matrix for x in r)
 
 
 @given(matrices(3, 4))
@@ -163,21 +163,27 @@ def test_integer_kernel_is_saturated(rows):
         assert ker.contains([x // g for x in w])
 
 
-def test_solve_consistent_and_inconsistent():
-    rows = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
-    combo = solve(rows, [Fraction(2), Fraction(5)], Q)
-    assert combo is not None
-    x, y = combo
+def test_echelon_tags_solve_consistent_and_inconsistent():
+    # tag row i with {i: 1}; reducing a target in the row span to zero
+    # yields the combination of rows that produces it
+    ech = SparseEchelon(Q)
+    for i, row in enumerate([{0: Fraction(1), 1: Fraction(2)}, {1: Fraction(1)}]):
+        ech.add_row(row, {i: Fraction(1)})
+    residue, combo = ech.reduce({0: Fraction(2), 1: Fraction(5)})
+    assert residue == {}
+    x, y = combo.get(0, 0), combo.get(1, 0)
     assert [x * 1 + y * 0, x * 2 + y * 1] == [Fraction(2), Fraction(5)]
-    assert solve([[Fraction(1), Fraction(0)]], [Fraction(0), Fraction(1)], Q) is None
+    ech = SparseEchelon(Q)
+    ech.add_row({0: Fraction(1)}, {0: Fraction(1)})
+    assert ech.reduce({1: Fraction(1)})[0] == {1: Fraction(1)}
 
 
-def test_invert_matrix():
-    m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-    inv = invert_matrix(m, Q)
-    ident = mat_mul(m, inv, Q)
+def test_linear_map_inverse():
+    m = LinearMap(Q, [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]])
+    inv = m.inverse()
+    ident = [m.apply(inv.column(j)) for j in range(2)]
     assert ident == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    assert invert_matrix([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]], Q) is None
+    assert LinearMap(Q, [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]).inverse() is None
 
 
 def test_mat_vec():
