@@ -14,7 +14,6 @@ from .algebra import (
 )
 from .derivations import check_derivation, derivation_basis, leibniz_system
 from .lattice import (
-    AlgebraSubmodule,
     QuotientAlgebra,
     commutator_submodule,
     ideal_J,
@@ -23,7 +22,7 @@ from .lattice import (
     quotient,
     z_chain,
 )
-from .linalg import Submodule, contains, kernel, span
+from .linalg import Submodule, kernel, span
 from .posets import (
     Poset,
     antichain,
@@ -47,7 +46,6 @@ from .rings import CapabilityError, Integers, ModularRing, PrimeField, Rationals
 
 __all__ = [
     "AlgebraContext",
-    "AlgebraSubmodule",
     "AbstractAlgebra",
     "CapabilityError",
     "FlagElement",
@@ -67,7 +65,6 @@ __all__ = [
     "check_derivation",
     "commutator",
     "commutator_submodule",
-    "contains",
     "convolve",
     "decide_isomorphism",
     "derivation_basis",

@@ -213,7 +213,8 @@ class StructureConstants:
     """Anonymous multiplication table of a finite free R-algebra.
 
     table[(i, j)] is a tuple of (k, c) with c the nonzero coefficient of
-    basis vector k in b_i * b_j; absent pairs have zero product.
+    basis vector k in b_i * b_j; absent pairs have zero product.  `chain`
+    holds the commutator chain once `lattice.commutator_chain` computed it.
     """
 
     def __init__(self, dim: int, ring: Ring, table: dict):
@@ -225,6 +226,7 @@ class StructureConstants:
             if val
         }
         self.table = {key: val for key, val in self.table.items() if val}
+        self.chain = None
 
     def product_coeffs(self, i: int, j: int):
         return self.table.get((i, j), ())

@@ -116,7 +116,7 @@ def cmd_reconstruct(args) -> int:
     try:
         algebra = AbstractAlgebra(sc)
         poset, elements, cover_lifts = reconstruct_poset(algebra, seed=args.seed)
-    except (CapabilityError, ReconstructionError) as exc:
+    except ReconstructionError as exc:
         report = {
             "artifact_version": __version__,
             "command": "reconstruct",

@@ -21,58 +21,7 @@ class SplittingError(Exception):
     """Primitive idempotent search failed; see message for a diagnostic."""
 
 
-class AlgebraSubmodule:
-    """A submodule of the coefficient space of an algebra context."""
-
-    __slots__ = ("ctx", "submodule")
-
-    def __init__(self, ctx: AlgebraContext, submodule: Submodule):
-        if submodule.ambient != ctx.dim:
-            raise ValueError("submodule ambient dimension does not match context")
-        self.ctx = ctx
-        self.submodule = submodule
-
-    @classmethod
-    def from_vectors(cls, ctx: AlgebraContext, vectors):
-        return cls(ctx, span(vectors, ctx.ring, ctx.dim))
-
-    @property
-    def rank(self) -> int:
-        return self.submodule.rank
-
-    @property
-    def basis(self):
-        return self.submodule.basis
-
-    def is_subset_of(self, other: "AlgebraSubmodule") -> bool:
-        self._check(other)
-        return self.submodule.is_subset_of(other.submodule)
-
-    def _check(self, other):
-        if self.ctx is not other.ctx:
-            raise ValueError("submodules belong to different contexts")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraSubmodule)
-            and self.ctx is other.ctx
-            and self.submodule == other.submodule
-        )
-
-    def __hash__(self):
-        return hash(self.submodule)
-
-    def __repr__(self):
-        return f"AlgebraSubmodule(rank={self.rank}, dim={self.ctx.dim})"
-
-
-def full_module(ctx: AlgebraContext) -> AlgebraSubmodule:
-    one, zero = ctx.ring.one(), ctx.ring.zero()
-    eye = [[one if i == j else zero for j in range(ctx.dim)] for i in range(ctx.dim)]
-    return AlgebraSubmodule.from_vectors(ctx, eye)
-
-
-def ideal_J(ctx: AlgebraContext, k: int) -> AlgebraSubmodule:
+def ideal_J(ctx: AlgebraContext, k: int) -> Submodule:
     """Span of basis elements whose endpoint interval has length >= k."""
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -84,47 +33,45 @@ def ideal_J(ctx: AlgebraContext, k: int) -> AlgebraSubmodule:
             v = [zero] * ctx.dim
             v[i] = one
             vecs.append(v)
-    return AlgebraSubmodule.from_vectors(ctx, vecs)
+    return span(vecs, ctx.ring, ctx.dim)
 
 
-def mul_submodule(u: AlgebraSubmodule, v: AlgebraSubmodule) -> AlgebraSubmodule:
+def mul_submodule(sc: StructureConstants, u: Submodule, v: Submodule) -> Submodule:
     """Span of pairwise products of basis vectors (equals UV by bilinearity)."""
-    u._check(v)
-    ctx = u.ctx
-    sc = structure_constants(ctx)
     prods = [sc.multiply(a, b) for a in u.basis for b in v.basis]
-    return AlgebraSubmodule(ctx, span(prods, ctx.ring, ctx.dim))
+    return span(prods, sc.ring, sc.dim)
 
 
-def commutator_submodule(u: AlgebraSubmodule, v: AlgebraSubmodule) -> AlgebraSubmodule:
-    u._check(v)
-    ctx = u.ctx
-    sc = structure_constants(ctx)
+def commutator_submodule(sc: StructureConstants, u: Submodule, v: Submodule) -> Submodule:
     vecs = [sc.commutator_vec(a, b) for a in u.basis for b in v.basis]
-    return AlgebraSubmodule(ctx, span(vecs, ctx.ring, ctx.dim))
+    return span(vecs, sc.ring, sc.dim)
 
 
 def commutator_chain(sc: StructureConstants):
     """(C1, C2, C3) with C1 = [A, A] and C(k+1) = [Ck, Ck], as Submodules.
 
     Brackets are antisymmetric, so the pairs i < j of each basis suffice.
+    The chain is kept on the table, so every caller sharing a table (the
+    `check` suites of one context) computes it once.
     """
-    ring, d = sc.ring, sc.dim
-    one, zero = ring.one(), ring.zero()
-    basis = [[one if i == j else zero for j in range(d)] for i in range(d)]
-    chain = []
-    for _ in range(3):
-        brackets = [sc.commutator_vec(u, v) for i, u in enumerate(basis) for v in basis[i + 1 :]]
-        chain.append(span(brackets, ring, d))
-        basis = chain[-1].basis
-    return tuple(chain)
+    if sc.chain is None:
+        ring, d = sc.ring, sc.dim
+        one, zero = ring.one(), ring.zero()
+        basis = [[one if i == j else zero for j in range(d)] for i in range(d)]
+        chain = []
+        for _ in range(3):
+            brackets = [sc.commutator_vec(u, v) for i, u in enumerate(basis) for v in basis[i + 1 :]]
+            chain.append(span(brackets, ring, d))
+            basis = chain[-1].basis
+        sc.chain = tuple(chain)
+    return sc.chain
 
 
 def z_chain(ctx: AlgebraContext):
     """(C1, C2, C3): commutator submodule and its two iterates, n = 3 only."""
     if ctx.n != 3:
         raise ValueError("the commutator chain is only supported for n = 3")
-    return tuple(AlgebraSubmodule(ctx, c) for c in commutator_chain(structure_constants(ctx)))
+    return commutator_chain(structure_constants(ctx))
 
 
 class QuotientAlgebra:
@@ -205,9 +152,8 @@ def _verify_closure_and_ideal(algebra, numerator, denominator):
                 raise IdealError("denominator is not a right ideal of the numerator")
 
 
-def quotient(u: AlgebraSubmodule, v: AlgebraSubmodule) -> QuotientAlgebra:
-    u._check(v)
-    return QuotientAlgebra(structure_constants(u.ctx), u.submodule, v.submodule)
+def quotient(sc: StructureConstants, u: Submodule, v: Submodule) -> QuotientAlgebra:
+    return QuotientAlgebra(sc, u, v)
 
 
 def _rational_roots(coeffs, ring):

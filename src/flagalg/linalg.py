@@ -319,10 +319,6 @@ def span(vectors, ring: Ring, ambient: int | None = None) -> Submodule:
     return Submodule(ring, ambient, rows, pivots)
 
 
-def contains(sub: Submodule, vector) -> bool:
-    return sub.contains(vector)
-
-
 def kernel(rows, width: int, ring: Ring) -> Submodule:
     """Canonical basis of {v : Mv = 0} for the matrix M with the given rows.
 

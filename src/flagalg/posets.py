@@ -228,18 +228,18 @@ def format_poset(p: Poset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def find_isomorphism(p: Poset, q: Poset):
-    """An order isomorphism P -> Q as a list (phi[x] = image), or None.
+def _isomorphisms(p: Poset, q: Poset):
+    """Every order isomorphism P -> Q as a list (phi[x] = image).
 
     Exhaustive backtracking pruned by (up-degree, down-degree, height).
     """
     if p.size != q.size:
-        return None
+        return
     m = p.size
     pinv = [p._invariant(x) for x in range(m)]
     qinv = [q._invariant(x) for x in range(m)]
     if sorted(pinv) != sorted(qinv):
-        return None
+        return
     candidates = [[y for y in range(m) if qinv[y] == pinv[x]] for x in range(m)]
     # assign in order of fewest candidates first
     order = sorted(range(m), key=lambda x: len(candidates[x]))
@@ -248,7 +248,8 @@ def find_isomorphism(p: Poset, q: Poset):
 
     def backtrack(k):
         if k == m:
-            return True
+            yield list(phi)
+            return
         x = order[k]
         for y in candidates[x]:
             if used[y]:
@@ -262,47 +263,21 @@ def find_isomorphism(p: Poset, q: Poset):
             if ok:
                 phi[x] = y
                 used[y] = True
-                if backtrack(k + 1):
-                    return True
+                yield from backtrack(k + 1)
                 phi[x] = None
                 used[y] = False
-        return False
 
-    return list(phi) if backtrack(0) else None
+    yield from backtrack(0)
+
+
+def find_isomorphism(p: Poset, q: Poset):
+    """An order isomorphism P -> Q as a list (phi[x] = image), or None."""
+    return next(_isomorphisms(p, q), None)
 
 
 def automorphisms(p: Poset):
     """All order automorphisms of P, as permutation lists, sorted."""
-    m = p.size
-    inv = [p._invariant(x) for x in range(m)]
-    out = []
-    candidates = [[y for y in range(m) if inv[y] == inv[x]] for x in range(m)]
-    phi = [None] * m
-    used = [False] * m
-
-    def backtrack(x):
-        if x == m:
-            out.append(list(phi))
-            return
-        for y in candidates[x]:
-            if used[y]:
-                continue
-            ok = True
-            for x2 in range(x):
-                y2 = phi[x2]
-                if p.leq[x][x2] != q_leq(y, y2) or p.leq[x2][x] != q_leq(y2, y):
-                    ok = False
-                    break
-            if ok:
-                phi[x] = y
-                used[y] = True
-                backtrack(x + 1)
-                phi[x] = None
-                used[y] = False
-
-    q_leq = lambda a, b: p.leq[a][b]
-    backtrack(0)
-    return sorted(out)
+    return sorted(_isomorphisms(p, p))
 
 
 def is_order_isomorphism(p: Poset, q: Poset, phi) -> bool:

@@ -8,13 +8,7 @@ from __future__ import annotations
 import random
 
 from .algebra import AlgebraContext, StructureConstants, structure_constants
-from .lattice import (
-    IdealError,
-    QuotientAlgebra,
-    SplittingError,
-    commutator_chain,
-    primitive_idempotents,
-)
+from .lattice import IdealError, SplittingError, commutator_chain, primitive_idempotents, quotient
 from .linalg import SparseEchelon, mat_vec, span, to_sparse
 from .posets import Poset, find_isomorphism, is_order_isomorphism
 from .rings import CapabilityError, Ring
@@ -116,13 +110,13 @@ def reconstruct_poset(a: AbstractAlgebra, seed: int = 0):
     one, zero = ring.one(), ring.zero()
     std = [[one if i == j else zero for j in range(d)] for i in range(d)]
     try:
-        q1 = QuotientAlgebra(sc, span(std, ring, d), c1)
+        q1 = quotient(sc, span(std, ring, d), c1)
     except IdealError:
         raise ReconstructionError("the commutator submodule is not an ideal")
     try:
         elem_idems = primitive_idempotents(q1, seed=seed)
     except SplittingError as exc:
-        raise ReconstructionError(f"element quotient did not split: {exc}")
+        raise ReconstructionError(f"element quotient did not split: {exc}") from exc
     # order by leading coordinate so canonical input labels elements by the
     # position of e_(x,...,x) in the basis; ties by the lift itself, which
     # does not depend on the quotient's coordinates
@@ -146,12 +140,12 @@ def reconstruct_poset(a: AbstractAlgebra, seed: int = 0):
     cover_lifts = []
     if c2.rank > c3.rank:
         try:
-            q2 = QuotientAlgebra(sc, c2, c3)
+            q2 = quotient(sc, c2, c3)
             cover_idems = primitive_idempotents(q2, seed=seed)
         except IdealError as exc:
             raise ReconstructionError(f"C2/C3 is not a quotient algebra: {exc}")
         except SplittingError as exc:
-            raise ReconstructionError(f"cover quotient did not split: {exc}")
+            raise ReconstructionError(f"cover quotient did not split: {exc}") from exc
         for f in sorted((q2.lift(e) for e in cover_idems), key=_leading_index):
             src = [x for x in range(m) if not c2.contains(sc.multiply(elements[x], f))]
             tgt = [y for y in range(m) if not c2.contains(sc.multiply(f, elements[y]))]

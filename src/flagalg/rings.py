@@ -218,7 +218,10 @@ class ModularRing(Ring):
         return f"{a % self.modulus} mod {self.modulus}"
 
     def parse(self, s):
-        return int(s.split("mod")[0].strip()) % self.modulus
+        value, stated, modulus = s.partition("mod")
+        if stated and int(modulus) != self.modulus:
+            raise ValueError(f"{s!r} states modulus {modulus.strip()}, not {self.modulus}")
+        return int(value) % self.modulus
 
 
 class PrimeField(ModularRing):

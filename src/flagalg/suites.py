@@ -15,20 +15,11 @@ from .algebra import (
     structure_constants,
 )
 from .derivations import derivation_basis, moved_basis_tuple
-from .lattice import (
-    AlgebraSubmodule,
-    SplittingError,
-    full_module,
-    ideal_J,
-    mul_submodule,
-    primitive_idempotents,
-    quotient,
-    z_chain,
-)
+from .lattice import SplittingError, ideal_J, mul_submodule, z_chain
 from .linalg import span
 from .posets import Poset, find_isomorphism
-from .reconstruction import AbstractAlgebra, reconstruct_poset, scramble
-from .rings import CapabilityError, Ring
+from .reconstruction import AbstractAlgebra, ReconstructionError, reconstruct_poset, scramble
+from .rings import Ring
 
 
 def _entry(theorem, status, detail=None):
@@ -42,9 +33,9 @@ def _capability(theorem, exc):
     return _entry(theorem, "capability-skip", str(exc))
 
 
-def suite_flag_algebra(poset: Poset, ring: Ring, n: int = 3):
+def suite_flag_algebra(ctx: AlgebraContext):
     entries = []
-    ctx = AlgebraContext(poset, n, ring)
+    poset, ring = ctx.poset, ctx.ring
     bad = None
     for i, x in enumerate(ctx.basis):
         ex = ctx.basis_element(x)
@@ -101,12 +92,13 @@ def suite_flag_algebra(poset: Poset, ring: Ring, n: int = 3):
     return entries
 
 
-def suite_submodules(poset: Poset, ring: Ring):
-    theorems = ["commutator-is-J1", "zchain-C2-span", "zchain-C3-is-J2", "idempotent-counts"]
+def suite_submodules(ctx: AlgebraContext):
+    theorems = ["commutator-is-J1", "zchain-C2-span", "zchain-C3-is-J2"]
     entries = []
+    poset, ring = ctx.poset, ctx.ring
     if not ring.supports_submodules:
         return [_capability(t, f"submodule computations unsupported over {ring.name}") for t in theorems]
-    ctx = AlgebraContext(poset, 3, ring)
+    sc = structure_constants(ctx)
     c1, c2, c3 = z_chain(ctx)
     j1 = ideal_J(ctx, 1)
     j2 = ideal_J(ctx, 2)
@@ -126,8 +118,8 @@ def suite_submodules(poset: Poset, ring: Ring):
         v[ctx.index[(x, x, y)]] = one
         v[ctx.index[(x, y, y)]] = one
         gens.append(v)
-    rhs = AlgebraSubmodule(ctx, span(gens, ring, ctx.dim))
-    c1sq = mul_submodule(c1, c1)
+    rhs = span(gens, ring, ctx.dim)
+    c1sq = mul_submodule(sc, c1, c1)
     ok2 = c2 == rhs and c1sq == rhs
     entries.append(
         _entry(
@@ -144,71 +136,54 @@ def suite_submodules(poset: Poset, ring: Ring):
             None if ok3 else {"rank_C3": c3.rank, "rank_J2": j2.rank},
         )
     )
-    if not ring.is_field:
-        entries.append(_capability("idempotent-counts", "idempotent splitting needs a field"))
-        return entries
-    try:
-        a = full_module(ctx)
-        q1 = quotient(a, c1)
-        n_elems = len(primitive_idempotents(q1))
-        if c2.rank > c3.rank:
-            q2 = quotient(c2, c3)
-            n_covers = len(primitive_idempotents(q2))
-        else:
-            n_covers = 0
-        ok = n_elems == poset.size and n_covers == len(poset.covers)
-        entries.append(
-            _entry(
-                "idempotent-counts",
-                "pass" if ok else "fail",
-                None
-                if ok
-                else {
-                    "elements": n_elems,
-                    "expected_elements": poset.size,
-                    "covers": n_covers,
-                    "expected_covers": len(poset.covers),
-                },
-            )
-        )
-    except (SplittingError, CapabilityError) as exc:
-        entries.append(_capability("idempotent-counts", exc))
     return entries
 
 
-def suite_reconstruction(poset: Poset, ring: Ring, seed: int):
-    theorem = "reconstruction-roundtrip"
+def suite_reconstruction(ctx: AlgebraContext, seed: int):
+    """idempotent-counts and reconstruction-roundtrip from one reconstruction
+    of the plain table and one of a scrambled table."""
+    theorems = ["idempotent-counts", "reconstruction-roundtrip"]
+    poset, ring = ctx.poset, ctx.ring
     if not ring.is_field:
-        return [_capability(theorem, f"reconstruction requires a field (got {ring.name})")]
-    ctx = AlgebraContext(poset, 3, ring)
-    a = AbstractAlgebra.from_context(ctx)
-    recovered, _, _ = reconstruct_poset(a, seed=seed)
-    if set(recovered.covers) != set(poset.covers):
         return [
-            _entry(
-                theorem,
-                "fail",
-                {"expected_covers": list(poset.covers), "got": list(recovered.covers)},
-            )
+            _capability(
+                theorems[0],
+                "idempotent splitting needs a field"
+                if ring.supports_submodules
+                else f"submodule computations unsupported over {ring.name}",
+            ),
+            _capability(theorems[1], f"reconstruction requires a field (got {ring.name})"),
         ]
-    scrambled = scramble(ctx, seed)
-    rec2, _, _ = reconstruct_poset(scrambled, seed=seed)
+    counts = None
+    try:
+        recovered, elements, cover_lifts = reconstruct_poset(AbstractAlgebra.from_context(ctx), seed=seed)
+        ok = len(elements) == poset.size and len(cover_lifts) == len(poset.covers)
+        detail = {
+            "elements": len(elements),
+            "expected_elements": poset.size,
+            "covers": len(cover_lifts),
+            "expected_covers": len(poset.covers),
+        }
+        counts = _entry(theorems[0], "pass" if ok else "fail", None if ok else detail)
+        if set(recovered.covers) != set(poset.covers):
+            detail = {"expected_covers": list(poset.covers), "got": list(recovered.covers)}
+            return [counts, _entry(theorems[1], "fail", detail)]
+        rec2, _, _ = reconstruct_poset(scramble(ctx, seed), seed=seed)
+    except ReconstructionError as exc:
+        if isinstance(exc.__cause__, SplittingError):
+            return [_capability(t, exc) for t in theorems]
+        failed = {"diagnostic": str(exc)}
+        return [counts or _entry(theorems[0], "fail", failed), _entry(theorems[1], "fail", failed)]
     if find_isomorphism(rec2, poset) is None:
-        return [
-            _entry(
-                theorem,
-                "fail",
-                {"scrambled_covers": list(rec2.covers), "expected_covers": list(poset.covers)},
-            )
-        ]
-    return [_entry(theorem, "pass")]
+        detail = {"scrambled_covers": list(rec2.covers), "expected_covers": list(poset.covers)}
+        return [counts, _entry(theorems[1], "fail", detail)]
+    return [counts, _entry(theorems[1], "pass")]
 
 
-def suite_derivations(poset: Poset, ring: Ring):
+def suite_derivations(ctx: AlgebraContext):
     theorem = "derivations-trivial-n3"
-    if not ring.supports_submodules:
-        return [_capability(theorem, f"kernel computation unsupported over {ring.name}")]
-    ctx = AlgebraContext(poset, 3, ring)
+    if not ctx.ring.supports_submodules:
+        return [_capability(theorem, f"kernel computation unsupported over {ctx.ring.name}")]
     basis = derivation_basis(ctx)
     if basis:
         moved = list(moved_basis_tuple(ctx, basis[0]))
@@ -230,10 +205,11 @@ ALL_THEOREMS = [
 
 
 def run_poset_suite(poset: Poset, ring: Ring, seed: int):
+    ctx = AlgebraContext(poset, 3, ring)
     entries = []
-    entries += suite_flag_algebra(poset, ring)
-    entries += suite_submodules(poset, ring)
-    entries += suite_reconstruction(poset, ring, seed)
-    entries += suite_derivations(poset, ring)
+    entries += suite_flag_algebra(ctx)
+    entries += suite_submodules(ctx)
+    entries += suite_reconstruction(ctx, seed)
+    entries += suite_derivations(ctx)
     assert [e["theorem"] for e in entries] == ALL_THEOREMS
     return entries

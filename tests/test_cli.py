@@ -8,11 +8,11 @@ import sys
 import pytest
 
 from flagalg import cli, derivations, suites
-from flagalg.algebra import AlgebraContext
+from flagalg.algebra import AlgebraContext, structure_constants
 from flagalg.linalg import span
 from flagalg.posets import chain, enumerate_posets
-from flagalg.reconstruction import scramble
-from flagalg.rings import PrimeField, Rationals
+from flagalg.reconstruction import ReconstructionError, scramble
+from flagalg.rings import PrimeField, Rationals, ring_from_spec
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -68,6 +68,42 @@ class TestCheck:
         plain = run_cli("check", chain2)
         assert json.loads(out.read_text()) == json.loads(plain.stdout)
 
+    @pytest.mark.parametrize(
+        "args, golden, code",
+        [
+            (["--ring", "Z"], "check_all3_z.json", 2),
+            (["--ring", "Fp:3", "--seed", "2"], "check_all3_fp3_seed2.json", 0),
+        ],
+        ids=["Z", "Fp3-seed2"],
+    )
+    def test_report_is_pinned(self, args, golden, code):
+        # golden reports written by the code before the suites shared one
+        # context and one plain-table reconstruction
+        r = run_cli("check", "--all-up-to", "3", *args)
+        assert r.returncode == code
+        assert r.stdout == (DATA / golden).read_text()
+
+    def test_splitting_failure_is_capability_skip(self, tmp_path):
+        # F2^40 needs 39 binary splits, more than the 32-attempt budget
+        f = tmp_path / "antichain40.poset"
+        f.write_text("elements: " + " ".join(f"a{i}" for i in range(40)) + "\ncovers:\n")
+        r = run_cli("check", str(f), "--ring", "Fp:2")
+        assert r.returncode == 2
+        statuses = {t["theorem"]: t["status"] for t in json.loads(r.stdout)["posets"][0]["theorems"]}
+        assert statuses["idempotent-counts"] == statuses["reconstruction-roundtrip"] == "capability-skip"
+        assert [s for s in statuses.values() if s != "capability-skip"] == ["pass"] * 7
+
+    def test_reconstruction_failure_is_reported(self, monkeypatch):
+        def broken(algebra, seed=0):
+            raise ReconstructionError("C1*C2 is not contained in C2")
+
+        monkeypatch.setattr(suites, "reconstruct_poset", broken)
+        failed = {"diagnostic": "C1*C2 is not contained in C2"}
+        assert suites.suite_reconstruction(AlgebraContext(chain(2), 3, Rationals()), 0) == [
+            {"theorem": "idempotent-counts", "status": "fail", "counterexample": failed},
+            {"theorem": "reconstruction-roundtrip", "status": "fail", "counterexample": failed},
+        ]
+
 
 class TestExitCodes:
     def test_missing_file(self):
@@ -94,6 +130,15 @@ class TestExitCodes:
     def test_ring_mismatch_is_input_error(self, zero_table):
         assert run_cli("reconstruct", zero_table, "--ring", "Fp:2").returncode == 2
 
+    @pytest.mark.parametrize("ring", ["Z", "Zm:6"])
+    def test_reconstruct_unsupported_ring_is_input_error(self, tmp_path, ring):
+        f = tmp_path / "table.json"
+        f.write_text(structure_constants(AlgebraContext(chain(2), 3, ring_from_spec(ring))).to_json())
+        r = run_cli("reconstruct", str(f), "--ring", ring)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
     @pytest.mark.parametrize(
         "table",
         [
@@ -101,8 +146,9 @@ class TestExitCodes:
             "[[0, 0, [[1, \"1\"]]]]",
             '{"dim":2,"ring":"Q","table":[[0,0,[[1,"1/0"]]]]}',
             '{"dim":-1,"ring":"Q","table":[]}',
+            '{"dim":1,"ring":"Fp:2","table":[[0,0,[[0,"1 mod 7"]]]]}',
         ],
-        ids=["entry-not-a-list", "top-level-list", "zero-denominator", "negative-dim"],
+        ids=["entry-not-a-list", "top-level-list", "zero-denominator", "negative-dim", "wrong-modulus"],
     )
     def test_malformed_table_is_input_error(self, tmp_path, table):
         f = tmp_path / "bad.json"
@@ -172,7 +218,7 @@ class TestDerivations:
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "THEOREM VIOLATION"
         assert report["violation"] == {"basis_tuple": [0, 0, 0], "direct_check": "fail"}
-        entries = suites.suite_derivations(chain(2), Rationals())
+        entries = suites.suite_derivations(AlgebraContext(chain(2), 3, Rationals()))
         assert entries == [
             {
                 "theorem": "derivations-trivial-n3",

@@ -4,16 +4,15 @@ import pytest
 
 from flagalg.algebra import AlgebraContext, structure_constants
 from flagalg.lattice import (
-    AlgebraSubmodule,
     IdealError,
     commutator_submodule,
-    full_module,
     ideal_J,
     mul_submodule,
     primitive_idempotents,
     quotient,
     z_chain,
 )
+from flagalg.linalg import span
 from flagalg.posets import Poset, antichain, chain, enumerate_posets
 from flagalg.rings import PrimeField, Rationals
 
@@ -40,13 +39,15 @@ class TestIdealFiltration:
     def test_filtration_is_decreasing_and_ideal(self):
         for p in (chain(3), V_POSET, DIAMOND):
             for ctx in contexts(p):
-                a = full_module(ctx)
+                sc = structure_constants(ctx)
+                a = ideal_J(ctx, 0)
+                assert a.rank == ctx.dim
                 prev = a
                 for k in range(0, 4):
                     jk = ideal_J(ctx, k)
                     assert jk.is_subset_of(prev)
-                    assert mul_submodule(a, jk).is_subset_of(jk)
-                    assert mul_submodule(jk, a).is_subset_of(jk)
+                    assert mul_submodule(sc, a, jk).is_subset_of(jk)
+                    assert mul_submodule(sc, jk, a).is_subset_of(jk)
                     prev = jk
 
     def test_product_stays_in_deeper_level(self):
@@ -54,9 +55,10 @@ class TestIdealFiltration:
         # J_{max(k,l)} (and k+l would be too strong: ranks 13 vs 10 on the
         # 4-chain at k=l=1)
         ctx = AlgebraContext(chain(4), 3, Q)
+        sc = structure_constants(ctx)
         for k in range(3):
             for l in range(3):
-                prod = mul_submodule(ideal_J(ctx, k), ideal_J(ctx, l))
+                prod = mul_submodule(sc, ideal_J(ctx, k), ideal_J(ctx, l))
                 assert prod.is_subset_of(ideal_J(ctx, max(k, l)))
 
 
@@ -65,8 +67,8 @@ class TestZChain:
         for m in range(1, 5):
             for p in enumerate_posets(m):
                 for ctx in contexts(p):
-                    a = full_module(ctx)
-                    assert commutator_submodule(a, a) == ideal_J(ctx, 1)
+                    a = ideal_J(ctx, 0)
+                    assert commutator_submodule(structure_constants(ctx), a, a) == ideal_J(ctx, 1)
 
     def test_c2_explicit_span(self):
         # C2 = J_2 + span{e_(x,x,y) + e_(x,y,y) : x covered by y}, and it
@@ -80,8 +82,8 @@ class TestZChain:
                     vec[ctx.index[(x, x, y)]] = ctx.ring.one()
                     vec[ctx.index[(x, y, y)]] = ctx.ring.one()
                     gens.append(vec)
-                assert c2 == AlgebraSubmodule.from_vectors(ctx, gens)
-                assert c2 == mul_submodule(c1, c1)
+                assert c2 == span(gens, ctx.ring, ctx.dim)
+                assert c2 == mul_submodule(structure_constants(ctx), c1, c1)
 
     def test_c3_equals_J2(self):
         for m in range(1, 5):
@@ -103,17 +105,16 @@ class TestZChain:
 class TestQuotient:
     def test_rejects_non_ideal_denominator(self):
         ctx = AlgebraContext(chain(2), 3, Q)
-        a = full_module(ctx)
         one_axis = [ctx.ring.zero()] * ctx.dim
         one_axis[ctx.index[(0, 0, 0)]] = ctx.ring.one()
-        bad = AlgebraSubmodule.from_vectors(ctx, [one_axis])
+        bad = span([one_axis], ctx.ring, ctx.dim)
         with pytest.raises(IdealError):
-            quotient(a, bad)
+            quotient(structure_constants(ctx), ideal_J(ctx, 0), bad)
 
     def test_mod_c1_is_split_commutative(self):
         ctx = AlgebraContext(chain(3), 3, Q)
         c1, _, _ = z_chain(ctx)
-        q = quotient(full_module(ctx), c1)
+        q = quotient(structure_constants(ctx), ideal_J(ctx, 0), c1)
         assert q.dim == ctx.poset.size
         assert q.sc.is_commutative()
         assert q.sc.identity("left") is not None
@@ -121,7 +122,7 @@ class TestQuotient:
     def test_reduce_lift_roundtrip(self):
         ctx = AlgebraContext(chain(3), 3, Q)
         c1, _, _ = z_chain(ctx)
-        q = quotient(full_module(ctx), c1)
+        q = quotient(structure_constants(ctx), ideal_J(ctx, 0), c1)
         for coords in ([Q.one()] + [Q.zero()] * (q.dim - 1),):
             assert q.reduce(q.lift(coords)) == list(coords)
 
@@ -132,10 +133,10 @@ class TestPrimitiveIdempotents:
         for p in enumerate_posets(m):
             ctx = AlgebraContext(p, 3, Q)
             c1, c2, c3 = z_chain(ctx)
-            elems = primitive_idempotents(quotient(full_module(ctx), c1))
+            elems = primitive_idempotents(quotient(structure_constants(ctx), ideal_J(ctx, 0), c1))
             assert len(elems) == p.size
             if c2.rank > c3.rank:
-                covs = primitive_idempotents(quotient(c2, c3))
+                covs = primitive_idempotents(quotient(structure_constants(ctx), c2, c3))
                 assert len(covs) == len(p.covers)
             else:
                 assert not p.covers
@@ -143,7 +144,7 @@ class TestPrimitiveIdempotents:
     def test_idempotents_are_orthogonal_and_complete(self):
         ctx = AlgebraContext(DIAMOND, 3, Q)
         c1, _, _ = z_chain(ctx)
-        q = quotient(full_module(ctx), c1)
+        q = quotient(structure_constants(ctx), ideal_J(ctx, 0), c1)
         idems = primitive_idempotents(q)
         unit = q.sc.identity("left")
         total = [Q.zero()] * q.dim
@@ -158,13 +159,13 @@ class TestPrimitiveIdempotents:
     def test_deterministic_under_fixed_seed(self):
         ctx = AlgebraContext(V_POSET, 3, Q)
         c1, _, _ = z_chain(ctx)
-        q = quotient(full_module(ctx), c1)
+        q = quotient(structure_constants(ctx), ideal_J(ctx, 0), c1)
         assert primitive_idempotents(q, seed=5) == primitive_idempotents(q, seed=5)
 
     def test_works_over_f2(self):
         ctx = AlgebraContext(chain(3), 3, F2)
         c1, _, _ = z_chain(ctx)
-        q = quotient(full_module(ctx), c1)
+        q = quotient(structure_constants(ctx), ideal_J(ctx, 0), c1)
         assert len(primitive_idempotents(q)) == 3
 
 
