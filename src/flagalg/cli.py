@@ -115,7 +115,7 @@ def cmd_reconstruct(args) -> int:
         raise CliError(f"table ring {sc.ring.name} does not match --ring {ring.name}")
     try:
         algebra = AbstractAlgebra(sc)
-        poset, elements, cover_lifts = reconstruct_poset(algebra, seed=args.seed)
+        poset, elements, cover_lifts = reconstruct_poset(algebra)
     except ReconstructionError as exc:
         report = {
             "artifact_version": __version__,
@@ -261,7 +261,7 @@ def build_parser():
     p = sub.add_parser("reconstruct", help="recover a poset from structure constants JSON")
     p.add_argument("table", help="StructureConstants JSON file")
     p.add_argument("--ring", default="Q")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="ignored: reconstruction is deterministic")
     p.add_argument("--out")
     p.set_defaults(func=cmd_reconstruct)
 

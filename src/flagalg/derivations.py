@@ -15,17 +15,9 @@ from .reconstruction import LinearMap
 from .rings import CapabilityError
 
 
-class LeibnizSystem:
-    """Sparse rows of the Leibniz constraints over d^2 unknowns."""
-
-    def __init__(self, ctx: AlgebraContext, rows):
-        self.ctx = ctx
-        self.width = ctx.dim * ctx.dim
-        self.rows = rows
-
-
-def leibniz_system(ctx: AlgebraContext) -> LeibnizSystem:
-    """Assemble the exact linear system whose solution space is Der(I^n)."""
+def leibniz_system(ctx: AlgebraContext):
+    """Sparse rows, over the d^2 unknowns, of the exact linear system whose
+    solution space is Der(I^n)."""
     sc = structure_constants(ctx)
     ring = ctx.ring
     zero = ring.zero()
@@ -74,7 +66,7 @@ def leibniz_system(ctx: AlgebraContext) -> LeibnizSystem:
                 if key not in seen:
                     seen.add(key)
                     rows.append(row)
-    return LeibnizSystem(ctx, rows)
+    return rows
 
 
 def derivation_basis(ctx: AlgebraContext):
@@ -84,9 +76,8 @@ def derivation_basis(ctx: AlgebraContext):
         raise CapabilityError(
             f"derivation kernels are computed over fields and Z only (got {ring.name})"
         )
-    system = leibniz_system(ctx)
-    ker = kernel(system.rows, system.width, ring)
     d = ctx.dim
+    ker = kernel(leibniz_system(ctx), d * d, ring)
     out = []
     for vec in ker.basis:
         matrix = [vec[p * d : (p + 1) * d] for p in range(d)]

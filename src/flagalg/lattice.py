@@ -4,7 +4,6 @@ quotient algebras and primitive idempotent decomposition.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import lcm
 
@@ -199,14 +198,15 @@ def _poly_val(coeffs, x, ring):
     return val
 
 
-def primitive_idempotents(q, seed: int = 0):
+def primitive_idempotents(q):
     """Complete orthogonal primitive idempotent decomposition over a field.
 
     Accepts a QuotientAlgebra or a StructureConstants of a commutative
     unital algebra.  Returns quotient/abstract coordinate vectors.  Splits
-    recursively by the eigenvalues of a random element (seeded, 32-attempt
-    budget); raises SplittingError if the algebra does not split, with a
-    diagnostic recommending Q.
+    every idempotent e by the eigenvalues of e*t for the probes
+    t = sum_k (k+1) b_k, b_0, ..., b_(d-1) until there are d of them: the
+    basis separates the components of a product of copies of the field,
+    and any other algebra raises SplittingError naming a minimal polynomial.
     """
     sc = q.sc if isinstance(q, QuotientAlgebra) else q
     ring = sc.ring
@@ -220,80 +220,52 @@ def primitive_idempotents(q, seed: int = 0):
     identity = sc.identity("left")
     if identity is None:
         raise SplittingError("algebra has no identity; not a product of copies of R")
-    rng = random.Random(seed)
+    d = sc.dim
     zero, one = ring.zero(), ring.one()
-    std = [[one if i == j else zero for j in range(sc.dim)] for i in range(sc.dim)]
-    return sorted(_split(sc, std, identity, rng, budget=[32]))
+    probes = [[ring.coerce(k + 1) for k in range(d)]]
+    probes += [[one if i == k else zero for i in range(d)] for k in range(d)]
+    idems = [identity]
+    for t in probes:
+        if len(idems) == d:
+            break
+        idems = [u for e in idems for u in _split(sc, e, t)]
+    return sorted(tuple(e) for e in idems)
 
 
-def _split(sc, basis, unit, rng, budget):
-    """Split the unital commutative subalgebra spanned by `basis` * old data.
-
-    basis: ambient-coordinate basis of the component subalgebra; unit: its
-    identity.  Returns the list of primitive idempotents as ambient vectors.
-    """
+def _split(sc, unit, t):
+    """The Lagrange idempotents of the eigenvalues of unit*t, which sum to
+    the idempotent `unit`; [unit] when unit*t is a multiple of it."""
     ring = sc.ring
-    zero = ring.zero()
-    # component basis: span of unit * b over a spanning set
-    ech = SparseEchelon(ring)
-    comp = []
-    for b in basis:
-        vec = sc.multiply(unit, b)
-        if ech.add_row(to_sparse(vec)):
-            comp.append(vec)
-    dim = len(comp)
-    if dim == 1:
-        prod = sc.multiply(unit, unit)
-        if prod != list(unit):
-            raise SplittingError("component identity is not idempotent")
-        return [tuple(unit)]
-    while budget[0] > 0:
-        budget[0] -= 1
-        t = [zero] * sc.dim
-        for b in comp:
-            c = ring.coerce(rng.randrange(0, 4 * dim + 1))
-            t = [ring.add(a, ring.mul(c, x)) for a, x in zip(t, b)]
-        coeffs = _min_poly_component(sc, unit, t, ring)
-        k = len(coeffs)
-        if k < 2:
-            continue
-        roots = _rational_roots(coeffs, ring)
-        if len(roots) < 2 or len(roots) != k:
-            continue
-        # min poly splits into distinct linear factors: Lagrange idempotents
-        idems = []
-        ok = True
-        for lam in roots:
-            u = list(unit)
-            denom = ring.one()
-            for mu in roots:
-                if mu == lam:
-                    continue
-                # u *= (t - mu * unit)
-                shifted = [ring.sub(a, ring.mul(mu, e)) for a, e in zip(t, unit)]
-                u = sc.multiply(u, shifted)
+    coeffs = _min_poly_component(sc, unit, t, ring)
+    k = len(coeffs)
+    if k == 1:
+        return [unit]
+    roots = _rational_roots(coeffs, ring)
+    if len(roots) != k:
+        terms = [f"x^{k}"] + [f"({ring.format(c)})*x^{i}" for i, c in reversed(list(enumerate(coeffs))) if c]
+        raise SplittingError(
+            f"a probe element has minimal polynomial {' + '.join(terms)} with {len(roots)} distinct "
+            f"root(s) in {ring.name}, not {k}; the algebra is not a product of copies of {ring.name}"
+        )
+    idems = []
+    total = [ring.zero()] * sc.dim
+    for lam in roots:
+        # u = unit * prod_(mu != lam) (t - mu) / (lam - mu)
+        u = list(unit)
+        denom = ring.one()
+        for mu in roots:
+            if mu != lam:
+                u = sc.multiply(u, [ring.sub(a, ring.mul(mu, e)) for a, e in zip(t, unit)])
                 denom = ring.mul(denom, ring.sub(lam, mu))
-            dinv = ring.inv(denom)
-            u = [ring.mul(dinv, x) for x in u]
-            if sc.multiply(u, u) != u:
-                ok = False
-                break
-            idems.append(u)
-        if not ok:
-            continue
-        total = [zero] * sc.dim
-        for u in idems:
-            total = [ring.add(a, b) for a, b in zip(total, u)]
-        if total != list(unit):
-            continue
-        out = []
-        for u in idems:
-            out.extend(_split(sc, comp, u, rng, budget))
-        return out
-    raise SplittingError(
-        "failed to split the algebra into primitive idempotents within the "
-        "retry budget; if working over a small field, re-run over Q"
-    )
+        dinv = ring.inv(denom)
+        u = [ring.mul(dinv, x) for x in u]
+        if sc.multiply(u, u) != u:
+            raise SplittingError("a Lagrange element does not square to itself")
+        idems.append(u)
+        total = [ring.add(a, b) for a, b in zip(total, u)]
+    if total != list(unit):
+        raise SplittingError("the Lagrange idempotents do not sum to the component identity")
+    return idems
 
 
 def _min_poly_component(sc, unit, t, ring):

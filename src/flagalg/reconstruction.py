@@ -91,7 +91,7 @@ def _leading_index(v):
     return next(i for i, x in enumerate(v) if x)
 
 
-def reconstruct_poset(a: AbstractAlgebra, seed: int = 0):
+def reconstruct_poset(a: AbstractAlgebra):
     """Recover (Poset, element idempotent lifts, cover idempotent lifts).
 
     Pipeline: commutator submodule C1; primitive idempotents of A/C1 are the
@@ -106,6 +106,12 @@ def reconstruct_poset(a: AbstractAlgebra, seed: int = 0):
             f"reconstruction requires a field (got {ring.name}); re-run over Q"
         )
     d = sc.dim
+    # A*A = A in every third flag algebra (e_(x,y,z) = e_(x,y,y) e_(y,y,z))
+    # and A*A is spanned by the table's entries
+    if len(sc.table) < d:
+        raise ReconstructionError(
+            f"the table has {len(sc.table)} nonzero products for dim {d}: A*A != A, unlike any third flag algebra"
+        )
     c1, c2, c3 = commutator_chain(sc)
     one, zero = ring.one(), ring.zero()
     std = [[one if i == j else zero for j in range(d)] for i in range(d)]
@@ -114,7 +120,7 @@ def reconstruct_poset(a: AbstractAlgebra, seed: int = 0):
     except IdealError:
         raise ReconstructionError("the commutator submodule is not an ideal")
     try:
-        elem_idems = primitive_idempotents(q1, seed=seed)
+        elem_idems = primitive_idempotents(q1)
     except SplittingError as exc:
         raise ReconstructionError(f"element quotient did not split: {exc}") from exc
     # order by leading coordinate so canonical input labels elements by the
@@ -141,7 +147,7 @@ def reconstruct_poset(a: AbstractAlgebra, seed: int = 0):
     if c2.rank > c3.rank:
         try:
             q2 = quotient(sc, c2, c3)
-            cover_idems = primitive_idempotents(q2, seed=seed)
+            cover_idems = primitive_idempotents(q2)
         except IdealError as exc:
             raise ReconstructionError(f"C2/C3 is not a quotient algebra: {exc}")
         except SplittingError as exc:
@@ -280,12 +286,12 @@ def is_algebra_isomorphism(t: LinearMap, a, b) -> bool:
     return True
 
 
-def decide_isomorphism(a: AbstractAlgebra, b: AbstractAlgebra, seed: int = 0):
+def decide_isomorphism(a: AbstractAlgebra, b: AbstractAlgebra):
     """A poset isomorphism between the recovered posets, or None."""
     if a.dim != b.dim:
         return None
-    pa, _, _ = reconstruct_poset(a, seed=seed)
-    pb, _, _ = reconstruct_poset(b, seed=seed)
+    pa, _, _ = reconstruct_poset(a)
+    pb, _, _ = reconstruct_poset(b)
     return find_isomorphism(pa, pb)
 
 

@@ -166,7 +166,7 @@ def test_criterion_6_reconstruction_round_trip():
         rec, _, _ = reconstruct_poset(AbstractAlgebra.from_context(ctx))
         assert rec.covers == p.covers, p
         for seed in (1, 2, 3):
-            rec, _, _ = reconstruct_poset(scramble(ctx, seed), seed=seed)
+            rec, _, _ = reconstruct_poset(scramble(ctx, seed))
             assert find_isomorphism(rec, p) is not None, (p, seed)
     report("ACCEPTANCE 6 reconstruction-round-trip: PASS")
 

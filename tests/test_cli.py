@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from flagalg import cli, derivations, suites
+from flagalg import cli, derivations, reconstruction, suites
 from flagalg.algebra import AlgebraContext, structure_constants
+from flagalg.lattice import SplittingError
 from flagalg.linalg import span
 from flagalg.posets import chain, enumerate_posets
 from flagalg.reconstruction import ReconstructionError, scramble
@@ -83,18 +84,29 @@ class TestCheck:
         assert r.returncode == code
         assert r.stdout == (DATA / golden).read_text()
 
-    def test_splitting_failure_is_capability_skip(self, tmp_path):
-        # F2^40 needs 39 binary splits, more than the 32-attempt budget
+    def test_f2_antichain_of_40_splits(self, tmp_path):
+        # F2^40 needs 39 binary splits: over F_2 an element has at most two eigenvalues
         f = tmp_path / "antichain40.poset"
         f.write_text("elements: " + " ".join(f"a{i}" for i in range(40)) + "\ncovers:\n")
         r = run_cli("check", str(f), "--ring", "Fp:2")
-        assert r.returncode == 2
-        statuses = {t["theorem"]: t["status"] for t in json.loads(r.stdout)["posets"][0]["theorems"]}
-        assert statuses["idempotent-counts"] == statuses["reconstruction-roundtrip"] == "capability-skip"
-        assert [s for s in statuses.values() if s != "capability-skip"] == ["pass"] * 7
+        assert r.returncode == 0
+        statuses = [t["status"] for t in json.loads(r.stdout)["posets"][0]["theorems"]]
+        assert statuses == ["pass"] * 9
+
+    def test_splitting_failure_is_reported(self, monkeypatch):
+        # a flag algebra always splits, so a splitting failure is a fail
+        def broken(q):
+            raise SplittingError("probe has a repeated root")
+
+        monkeypatch.setattr(reconstruction, "primitive_idempotents", broken)
+        failed = {"diagnostic": "element quotient did not split: probe has a repeated root"}
+        assert suites.suite_reconstruction(AlgebraContext(chain(2), 3, Rationals()), 0) == [
+            {"theorem": "idempotent-counts", "status": "fail", "counterexample": failed},
+            {"theorem": "reconstruction-roundtrip", "status": "fail", "counterexample": failed},
+        ]
 
     def test_reconstruction_failure_is_reported(self, monkeypatch):
-        def broken(algebra, seed=0):
+        def broken(algebra):
             raise ReconstructionError("C1*C2 is not contained in C2")
 
         monkeypatch.setattr(suites, "reconstruct_poset", broken)
@@ -126,6 +138,32 @@ class TestExitCodes:
         r = run_cli("reconstruct", zero_table)
         assert r.returncode == 1
         assert json.loads(r.stdout)["status"] == "fail"
+
+    def test_huge_dim_with_short_table_fails_fast(self, tmp_path):
+        # fewer nonzero products than dim means A*A != A: rejected before
+        # any elimination instead of running for minutes
+        f = tmp_path / "huge.json"
+        f.write_text('{"dim": 300, "ring": "Q", "table": []}')
+        r = run_cli("reconstruct", str(f), timeout=30)
+        assert r.returncode == 1
+        report = json.loads(r.stdout)
+        assert report["status"] == "fail"
+        assert "A*A != A" in report["diagnostic"]
+
+    def test_non_split_table_names_its_minimal_polynomial(self, tmp_path):
+        # Q(sqrt 2) over Q: commutative and unital but not a product of
+        # copies of Q, so the element quotient cannot split
+        f = tmp_path / "sqrt2.json"
+        f.write_text(
+            '{"dim": 2, "ring": "Q", "table": [[0, 0, [[0, "1"]]], [0, 1, [[1, "1"]]],'
+            ' [1, 0, [[1, "1"]]], [1, 1, [[0, "2"]]]]}'
+        )
+        r = run_cli("reconstruct", str(f))
+        assert r.returncode == 1
+        diagnostic = json.loads(r.stdout)["diagnostic"]
+        assert diagnostic.startswith("element quotient did not split")
+        assert "minimal polynomial x^2 + (-2)*x^1 + (-7)*x^0" in diagnostic
+        assert "retry budget" not in diagnostic
 
     def test_ring_mismatch_is_input_error(self, zero_table):
         assert run_cli("reconstruct", zero_table, "--ring", "Fp:2").returncode == 2

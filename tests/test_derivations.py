@@ -73,10 +73,10 @@ class TestClassicalContrast:
 class TestSystemShape:
     def test_system_columns(self):
         ctx = AlgebraContext(chain(2), 3, Q)
-        sys = leibniz_system(ctx)
+        rows = leibniz_system(ctx)
         # rows are sparse dicts over the d^2 unknowns D[p][q]
-        assert sys.rows
-        assert all(0 <= c < ctx.dim**2 for r in sys.rows for c in r)
+        assert rows
+        assert all(0 <= c < ctx.dim**2 for r in rows for c in r)
 
     def test_kernel_agrees_across_Q_and_Z(self):
         for p in (chain(3), Poset.from_covers(3, [(0, 1), (0, 2)])):

@@ -53,7 +53,7 @@ class TestScrambledRoundTrip:
         for m in range(1, 5):
             for p in enumerate_posets(m):
                 ctx = AlgebraContext(p, 3, Q)
-                rec, _, _ = reconstruct_poset(scramble(ctx, seed), seed=seed)
+                rec, _, _ = reconstruct_poset(scramble(ctx, seed))
                 assert find_isomorphism(rec, p) is not None
 
     def test_decide_isomorphism_positive(self):
