@@ -32,8 +32,11 @@ class CliError(Exception):
 def _emit(report, out_path):
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write report: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -194,12 +197,18 @@ def cmd_derivations(args) -> int:
 
 
 def _parse_element(ctx, text):
+    """Read [[[x, ...], "scalar"], ...] as `from_json` reads a table: string
+    scalars only, and no basis tuple twice."""
     try:
         data = json.loads(text)
         coeffs = {}
-        for tup, scalar in data:
-            idx = ctx.index[tuple(tup)]
-            coeffs[idx] = ctx.ring.parse(scalar)
+        for term in data if isinstance(data, list) else [data]:
+            if not (isinstance(term, list) and len(term) == 2 and isinstance(term[1], str)):
+                raise ValueError(f"term {json.dumps(term)} is not [[x, ...], \"scalar\"]")
+            idx = ctx.index[tuple(term[0])]
+            if idx in coeffs:
+                raise ValueError(f"duplicate basis tuple {term[0]}")
+            coeffs[idx] = ctx.ring.parse(term[1])
         return ctx.element(coeffs)
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"malformed element (expected [[[x,y,z],\"scalar\"],...]): {exc}")

@@ -80,18 +80,19 @@ class QuotientAlgebra:
     each reduced modulo V and the earlier residues and normalized to leading
     coefficient 1.  Quotient coordinates are coefficients on these
     representatives, so lifting is a plain linear combination.
+
+    One echelon, V's rows untagged and then the representatives tagged by
+    index, decides all three conditions: V lies in U iff it has U's rank, U
+    is closed iff products of representatives have no residue, and V is an
+    ideal iff products of U's and V's bases have no residue and no coords.
     """
 
     def __init__(self, algebra: StructureConstants, numerator: Submodule, denominator: Submodule):
         ring = algebra.ring
         if not ring.is_field:
             raise CapabilityError("quotient algebras are implemented over fields")
-        if not denominator.is_subset_of(numerator):
-            raise IdealError("denominator is not contained in the numerator")
         self.ring = ring
         self.numerator = numerator
-        self.denominator = denominator
-        _verify_closure_and_ideal(algebra, numerator, denominator)
         # stored rows are tagged by the transversal representative they
         # carry, so reducing a vector of U yields its quotient coordinates
         self._echelon = SparseEchelon(ring)
@@ -106,13 +107,23 @@ class QuotientAlgebra:
                 rep = {c: ring.mul(inv, x) for c, x in residue.items()}
                 self._echelon.add_row(rep, {len(transversal): one})
                 transversal.append(tuple(rep.get(i, zero) for i in range(algebra.dim)))
+        if self._echelon.rank != numerator.rank:
+            raise IdealError("denominator is not contained in the numerator")
         self.transversal = tuple(transversal)
         self.dim = len(transversal)
         table = {}
         for i, a in enumerate(self.transversal):
             for j, b in enumerate(self.transversal):
-                coords = self.reduce(algebra.multiply(a, b))
-                table[(i, j)] = [(k, c) for k, c in enumerate(coords) if c != zero]
+                residue, coords = self._echelon.reduce(to_sparse(algebra.multiply(a, b)))
+                if residue:
+                    raise IdealError("numerator is not closed under the product")
+                table[(i, j)] = sorted(coords.items())
+        for a in numerator.basis:
+            for b in denominator.basis:
+                if any(self._echelon.reduce(to_sparse(algebra.multiply(a, b)))):
+                    raise IdealError("denominator is not a left ideal of the numerator")
+                if any(self._echelon.reduce(to_sparse(algebra.multiply(b, a)))):
+                    raise IdealError("denominator is not a right ideal of the numerator")
         self.sc = StructureConstants(self.dim, ring, table)
 
     def reduce(self, vector):
@@ -136,19 +147,6 @@ class QuotientAlgebra:
 
     def multiply(self, u, v):
         return self.sc.multiply(u, v)
-
-
-def _verify_closure_and_ideal(algebra, numerator, denominator):
-    for a in numerator.basis:
-        for b in numerator.basis:
-            if not numerator.contains(algebra.multiply(a, b)):
-                raise IdealError("numerator is not closed under the product")
-    for a in numerator.basis:
-        for b in denominator.basis:
-            if not denominator.contains(algebra.multiply(a, b)):
-                raise IdealError("denominator is not a left ideal of the numerator")
-            if not denominator.contains(algebra.multiply(b, a)):
-                raise IdealError("denominator is not a right ideal of the numerator")
 
 
 def quotient(sc: StructureConstants, u: Submodule, v: Submodule) -> QuotientAlgebra:

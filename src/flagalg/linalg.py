@@ -128,20 +128,6 @@ def to_sparse(vector) -> dict:
     return {i: v for i, v in enumerate(vector) if v}
 
 
-def rref(rows, ring: Ring):
-    """Reduced row echelon form; returns (canonical nonzero rows, pivot cols)."""
-    ech = SparseEchelon(ring)
-    zero = ring.zero()
-    for r in rows:
-        ech.add_row(to_sparse(r))
-    width = max((len(r) for r in rows), default=0)
-    out = []
-    for pcol in sorted(ech.pivots):
-        row = ech.pivots[pcol]
-        out.append(tuple(row.get(i, zero) for i in range(width)))
-    return out, sorted(ech.pivots)
-
-
 def hnf(rows):
     """Row-style Hermite normal form of integer rows.
 
@@ -234,16 +220,20 @@ def hnf_with_transform(rows):
 
 
 class Submodule:
-    """An R-submodule of R^d in canonical basis form."""
+    """An R-submodule of R^d in canonical basis form.
+
+    Over a field it keeps the echelon `span` built, and membership is a
+    residue test on it; over Z membership divides down the HNF pivots.
+    """
 
     __slots__ = ("ring", "ambient", "basis", "_pivots", "_echelon")
 
-    def __init__(self, ring: Ring, ambient: int, canonical_basis, pivots):
+    def __init__(self, ring: Ring, ambient: int, canonical_basis, pivots, echelon=None):
         self.ring = ring
         self.ambient = ambient
         self.basis = tuple(tuple(r) for r in canonical_basis)
         self._pivots = tuple(pivots)
-        self._echelon = None  # field only: the basis, row k tagged k
+        self._echelon = echelon  # field only: the SparseEchelon of the basis
 
     @property
     def rank(self) -> int:
@@ -269,31 +259,17 @@ class Submodule:
                 f"dimension mismatch: vector of length {len(vector)} "
                 f"in ambient dimension {self.ambient}"
             )
-        return self.reduce(vector) is not None
-
-    def reduce(self, vector):
-        """Coefficients of vector on the canonical basis, or None if outside."""
-        ring = self.ring
-        if isinstance(ring, Integers):
-            v = list(vector)
-            coeffs = []
-            for (pc, row) in zip(self._pivots, self.basis):
-                q, r = divmod(v[pc], row[pc])
-                if r != 0:
-                    return None
-                if q:
-                    for i in range(pc, self.ambient):
-                        v[i] -= q * row[i]
-                coeffs.append(q)
-            return None if any(v) else coeffs
-        if self._echelon is None:
-            self._echelon = SparseEchelon(ring)
-            for k, row in enumerate(self.basis):
-                self._echelon.add_row(to_sparse(row), {k: ring.one()})
-        residue, coords = self._echelon.reduce(to_sparse(vector))
-        if residue:
-            return None
-        return [coords.get(k, ring.zero()) for k in range(self.rank)]
+        if self._echelon is not None:
+            return not self._echelon.reduce(to_sparse(vector))[0]
+        v = list(vector)
+        for (pc, row) in zip(self._pivots, self.basis):
+            q, r = divmod(v[pc], row[pc])
+            if r != 0:
+                return False
+            if q:
+                for i in range(pc, self.ambient):
+                    v[i] -= q * row[i]
+        return not any(v)
 
     def is_subset_of(self, other: "Submodule") -> bool:
         return all(other.contains(row) for row in self.basis)
@@ -314,9 +290,14 @@ def span(vectors, ring: Ring, ambient: int | None = None) -> Submodule:
         rows = hnf(vectors)
         pivots = [next(i for i, x in enumerate(r) if x) for r in rows]
         return Submodule(ring, ambient, rows, pivots)
-    rows, pivots = rref(vectors, ring) if vectors else ([], [])
-    rows = [tuple(list(r) + [ring.zero()] * (ambient - len(r))) for r in rows]
-    return Submodule(ring, ambient, rows, pivots)
+    # reduced row echelon form: the stored rows by pivot column
+    ech = SparseEchelon(ring)
+    for v in vectors:
+        ech.add_row(to_sparse(v))
+    pivots = sorted(ech.pivots)
+    zero = ring.zero()
+    rows = [[ech.pivots[pc].get(i, zero) for i in range(ambient)] for pc in pivots]
+    return Submodule(ring, ambient, rows, pivots, ech)
 
 
 def kernel(rows, width: int, ring: Ring) -> Submodule:

@@ -56,20 +56,23 @@ class LinearMap:
     def column(self, j):
         return [row[j] for row in self.matrix]
 
+    def column_echelon(self):
+        """The echelon of the columns, column j tagged j, or None if the map
+        is singular over a field: reducing v yields T^-1 v as its coords."""
+        ech = SparseEchelon(self.ring)
+        for j in range(self.dim):
+            ech.add_row(to_sparse(self.column(j)), {j: self.ring.one()})
+        return ech if ech.rank == self.dim else None
+
     def inverse(self):
         """The inverse map over a field, or None if singular."""
-        ring, d = self.ring, self.dim
-        # row j of the echelon is column j of the map, tagged j, so reducing
-        # e_i yields the coordinates of e_i on the columns: column i of the
-        # inverse
-        ech = SparseEchelon(ring)
-        for j in range(d):
-            ech.add_row(to_sparse(self.column(j)), {j: ring.one()})
-        if ech.rank < d:
+        ech = self.column_echelon()
+        if ech is None:
             return None
+        # reducing e_i yields column i of the inverse
+        ring, d = self.ring, self.dim
         cols = [ech.reduce({i: ring.one()})[1] for i in range(d)]
-        zero = ring.zero()
-        return LinearMap(ring, [[cols[i].get(k, zero) for i in range(d)] for k in range(d)])
+        return LinearMap(ring, [[cols[i].get(k, ring.zero()) for i in range(d)] for k in range(d)])
 
     def __eq__(self, other):
         return (
@@ -194,8 +197,7 @@ def scramble(ctx: AlgebraContext, seed: int) -> AbstractAlgebra:
         # row_i += c * row_j
         t[i] = [ring.add(a, ring.mul(c, b)) for a, b in zip(t[i], t[j])]
 
-    steps = max(2, 2 * d)
-    for _ in range(steps):
+    for _ in range(2 * d):
         kind = rng.randrange(4)
         if d == 1:
             kind = 3
@@ -220,24 +222,18 @@ def scramble(ctx: AlgebraContext, seed: int) -> AbstractAlgebra:
 
 def conjugate_table(ctx: AlgebraContext, t: LinearMap) -> AbstractAlgebra:
     """Express the algebra in the basis {T b_k}: c'_{ij} solves
-    (T b_i)(T b_j) = sum_k c'_{ij}^k (T b_k)."""
-    ring = ctx.ring
+    (T b_i)(T b_j) = sum_k c'_{ij}^k (T b_k), read off as the coords of the
+    product reduced against T's tagged columns."""
     sc = structure_constants(ctx)
-    d = ctx.dim
-    tinv = t.inverse()
-    if tinv is None:
+    ech = t.column_echelon()
+    if ech is None:
         raise ValueError("conjugating map is singular")
-    zero = ring.zero()
-    cols = [t.column(j) for j in range(d)]
+    cols = [t.column(j) for j in range(ctx.dim)]
     table = {}
-    for i in range(d):
-        for j in range(d):
-            prod = sc.multiply(cols[i], cols[j])
-            coords = tinv.apply(prod)
-            entry = [(k, c) for k, c in enumerate(coords) if c != zero]
-            if entry:
-                table[(i, j)] = entry
-    return AbstractAlgebra(StructureConstants(d, ring, table))
+    for i, a in enumerate(cols):
+        for j, b in enumerate(cols):
+            table[(i, j)] = sorted(ech.reduce(to_sparse(sc.multiply(a, b)))[1].items())
+    return AbstractAlgebra(StructureConstants(ctx.dim, ctx.ring, table))
 
 
 def induced_isomorphism(phi, ctx_p: AlgebraContext, ctx_q: AlgebraContext) -> LinearMap:
@@ -268,22 +264,16 @@ def is_algebra_isomorphism(t: LinearMap, a, b) -> bool:
         raise ValueError(
             f"dimension mismatch: {sa.dim} vs {sb.dim} (map is {t.dim})"
         )
-    if t.inverse() is None:
+    ech = t.column_echelon()
+    if ech is None:
         return False
-    ring = sa.ring
-    zero = ring.zero()
-    d = sa.dim
-    for i in range(d):
-        ti = t.column(i)
-        for j in range(d):
-            lhs = [zero] * d
-            for k, c in sa.product_coeffs(i, j):
-                lhs[k] = c
-            lhs = t.apply(lhs)
-            rhs = sb.multiply(ti, t.column(j))
-            if lhs != rhs:
-                return False
-    return True
+    # T is multiplicative iff T^-1 ((T b_i)(T b_j)) = b_i b_j for all i, j
+    cols = [t.column(j) for j in range(t.dim)]
+    return all(
+        ech.reduce(to_sparse(sb.multiply(u, v)))[1] == dict(sa.product_coeffs(i, j))
+        for i, u in enumerate(cols)
+        for j, v in enumerate(cols)
+    )
 
 
 def decide_isomorphism(a: AbstractAlgebra, b: AbstractAlgebra):
@@ -354,6 +344,6 @@ def enumerate_isomorphisms_exhaustive(a, b):
         )
         if multiplicative:
             t = LinearMap(ring, [[one if cols[j] >> r & 1 else zero for j in range(d)] for r in range(d)])
-            if t.inverse() is not None:
+            if t.column_echelon() is not None:
                 found.append(t)
     return found

@@ -57,6 +57,14 @@ class TestCheck:
         report = json.loads(r.stdout)
         assert len(report["posets"]) == 3  # sizes 1 and 2
 
+    def test_empty_poset_passes(self, tmp_path, capsys):
+        f = tmp_path / "empty.poset"
+        f.write_text("elements:\ncovers:\n")
+        assert cli.main(["check", str(f)]) == 0
+        (entry,) = json.loads(capsys.readouterr().out)["posets"]
+        assert entry["size"] == 0
+        assert [t["status"] for t in entry["theorems"]] == ["pass"] * 9
+
     def test_deterministic_reports(self):
         runs = [run_cli("check", "--all-up-to", "3", "--ring", "Q", "--seed", "7") for _ in range(2)]
         assert runs[0].returncode == runs[1].returncode == 0
@@ -197,6 +205,12 @@ class TestExitCodes:
         assert r.stderr.startswith("error: malformed structure constants JSON")
         assert r.stderr.count("\n") == 1
 
+    def test_unwritable_out_is_input_error(self, chain2):
+        r = run_cli("check", chain2, "--out", "/nonexistent/x.json")
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: cannot write report") and r.stderr.count("\n") == 1
+
     def test_malformed_poset(self, tmp_path):
         bad = tmp_path / "bad.poset"
         bad.write_text("covers:\na b\n")
@@ -288,6 +302,23 @@ class TestMultiply:
     def test_bad_element_json(self, chain2):
         r = run_cli("multiply", chain2, "--lhs", "not json", "--rhs", "[]")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize(
+        "ring, rhs",
+        [
+            ("Fp:3", "[[[0,0,0],1]]"),
+            ("Q", "[[[0,0,0],0.1]]"),
+            ("Z", "[[[0,0,0],true]]"),
+            ("Q", '[[[0,0,0],"1"],[[0,0,0],"-1"]]'),
+        ],
+        ids=["int-scalar", "float-scalar", "bool-scalar", "repeated-tuple"],
+    )
+    def test_malformed_element_is_input_error(self, chain2, capsys, ring, rhs):
+        argv = ["multiply", chain2, "--ring", ring, "--lhs", '[[[0,0,0],"1"]]', "--rhs", rhs]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed element") and captured.err.count("\n") == 1
 
 
 class TestEnumerate:

@@ -108,7 +108,36 @@ class TestQuotient:
         one_axis = [ctx.ring.zero()] * ctx.dim
         one_axis[ctx.index[(0, 0, 0)]] = ctx.ring.one()
         bad = span([one_axis], ctx.ring, ctx.dim)
-        with pytest.raises(IdealError):
+        with pytest.raises(IdealError, match="denominator is not a right ideal of the numerator"):
+            quotient(structure_constants(ctx), ideal_J(ctx, 0), bad)
+
+    @staticmethod
+    def _unit(ctx, *tuples):
+        v = [ctx.ring.zero()] * ctx.dim
+        for t in tuples:
+            v[ctx.index[t]] = ctx.ring.one()
+        return v
+
+    def test_rejects_denominator_outside_numerator(self):
+        ctx = AlgebraContext(chain(3), 3, Q)
+        with pytest.raises(IdealError, match="denominator is not contained in the numerator"):
+            quotient(structure_constants(ctx), ideal_J(ctx, 2), ideal_J(ctx, 1))
+
+    def test_rejects_numerator_not_closed(self):
+        # (e_(0,0,1) + e_(1,1,1))^2 = e_(1,1,1) leaves the line it spans
+        ctx = AlgebraContext(chain(2), 3, Q)
+        sc = structure_constants(ctx)
+        v = self._unit(ctx, (0, 0, 1), (1, 1, 1))
+        assert sc.multiply(v, v) == self._unit(ctx, (1, 1, 1))
+        with pytest.raises(IdealError, match="numerator is not closed under the product"):
+            quotient(sc, span([v], Q, ctx.dim), span([], Q, ctx.dim))
+
+    def test_rejects_left_ideal_failure(self):
+        # span{e_(1,1,1)} is a right ideal (e_(1,1,1) A = span{e_(1,1,1)})
+        # but e_(0,1,1) e_(1,1,1) = e_(0,1,1) leaves it
+        ctx = AlgebraContext(chain(2), 3, Q)
+        bad = span([self._unit(ctx, (1, 1, 1))], Q, ctx.dim)
+        with pytest.raises(IdealError, match="denominator is not a left ideal of the numerator"):
             quotient(structure_constants(ctx), ideal_J(ctx, 0), bad)
 
     def test_mod_c1_is_split_commutative(self):

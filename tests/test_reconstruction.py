@@ -1,6 +1,8 @@
 """Recovering the poset from anonymous structure constants, and isomorphism
 rigidity of the third flag algebra."""
 
+import random
+
 import pytest
 
 from flagalg.algebra import AlgebraContext, StructureConstants, structure_constants
@@ -151,3 +153,32 @@ class TestGuards:
         ctx = AlgebraContext(V_POSET, 3, Q)
         a = conjugate_table(ctx, LinearMap.identity(Q, ctx.dim))
         assert a.sc.table == structure_constants(ctx).table
+
+    def test_conjugation_solves_against_the_map(self):
+        # a scramble-style map (shears, swaps, scalings) against the table
+        # T^-1 (T b_i)(T b_j) built with the inverse map
+        ctx = AlgebraContext(DIAMOND, 3, Q)
+        d = ctx.dim
+        rng = random.Random(5)
+        m = [[Q.one() if i == j else Q.zero() for j in range(d)] for i in range(d)]
+        for _ in range(2 * d):
+            i, j = rng.sample(range(d), 2)
+            m[i] = [a + rng.choice([-2, -1, 1, 2]) * b for a, b in zip(m[i], m[j])]
+            m[i], m[j] = m[j], m[i]
+            m[j] = [x / 3 for x in m[j]]
+        t = LinearMap(Q, m)
+        tinv = t.inverse()
+        sc = structure_constants(ctx)
+        expected = {}
+        for i in range(d):
+            for j in range(d):
+                coords = tinv.apply(sc.multiply(t.column(i), t.column(j)))
+                expected[(i, j)] = [(k, c) for k, c in enumerate(coords) if c]
+        assert conjugate_table(ctx, t).sc.table == StructureConstants(d, Q, expected).table
+
+    def test_conjugation_by_singular_map_raises(self):
+        ctx = AlgebraContext(chain(2), 3, Q)
+        m = [[Q.one() if i == j else Q.zero() for j in range(ctx.dim)] for i in range(ctx.dim)]
+        m[1] = list(m[0])
+        with pytest.raises(ValueError, match="singular"):
+            conjugate_table(ctx, LinearMap(Q, m))
