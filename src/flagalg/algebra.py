@@ -39,6 +39,7 @@ class AlgebraContext:
         self.dim = len(self.basis)
         self._conv_pairs = self._build_conv_pairs()
         self._sc = None
+        self._oracle = None
 
     def _build_conv_pairs(self):
         p, n, index = self.poset, self.n, self.index
@@ -62,15 +63,31 @@ class AlgebraContext:
             pairs.append(tuple(here))
         return tuple(pairs)
 
+    def oracle_table(self):
+        """{(i, j): convolve(e_i, e_j)} for every basis pair in (i, j) order,
+        built once from the convolution alone: an independent check of
+        `basis_product` and the structure constants."""
+        if self._oracle is None:
+            one = self.ring.one()
+            basis = [FlagElement(self, {i: one}) for i in range(self.dim)]
+            self._oracle = {
+                (i, j): convolve(a, b) for i, a in enumerate(basis) for j, b in enumerate(basis)
+            }
+        return self._oracle
+
     def element(self, coeffs=None) -> "FlagElement":
         return FlagElement(self, coeffs or {})
 
-    def basis_element(self, t) -> "FlagElement":
-        """The indicator basis element e_x."""
+    def index_of(self, t) -> int:
+        """Basis index of the tuple t; ValueError unless it is a basis tuple."""
         t = tuple(t)
         if t not in self.index:
-            raise ValueError(f"{t} is not a weakly increasing tuple of this poset")
-        return FlagElement(self, {self.index[t]: self.ring.one()})
+            raise ValueError(f"{t} is not a weakly increasing tuple (multichain) of this poset")
+        return self.index[t]
+
+    def basis_element(self, t) -> "FlagElement":
+        """The indicator basis element e_x."""
+        return FlagElement(self, {self.index_of(t): self.ring.one()})
 
     def from_vector(self, vec) -> "FlagElement":
         zero = self.ring.zero()
@@ -186,10 +203,8 @@ def basis_product(ctx: AlgebraContext, x, y) -> FlagElement:
     interval product of the shared middle.  For n = 2 this degenerates to
     the classical rule e_(a,b) e_(c,d) = [b = c] e_(a,d).
     """
-    x, y = tuple(x), tuple(y)
+    x, y = ctx.basis[ctx.index_of(x)], ctx.basis[ctx.index_of(y)]
     n = ctx.n
-    if x not in ctx.index or y not in ctx.index:
-        raise ValueError("tuples must be multichains of the context")
     u, v = x[1:], y[:-1]
     if u != v:
         return ctx.element()

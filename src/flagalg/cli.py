@@ -205,12 +205,12 @@ def _parse_element(ctx, text):
         for term in data if isinstance(data, list) else [data]:
             if not (isinstance(term, list) and len(term) == 2 and isinstance(term[1], str)):
                 raise ValueError(f"term {json.dumps(term)} is not [[x, ...], \"scalar\"]")
-            idx = ctx.index[tuple(term[0])]
+            idx = ctx.index_of(term[0])
             if idx in coeffs:
                 raise ValueError(f"duplicate basis tuple {term[0]}")
             coeffs[idx] = ctx.ring.parse(term[1])
         return ctx.element(coeffs)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise CliError(f"malformed element (expected [[[x,y,z],\"scalar\"],...]): {exc}")
 
 

@@ -9,7 +9,7 @@ vector equation per ordered basis pair expands into d scalar rows:
 
 from __future__ import annotations
 
-from .algebra import AlgebraContext, convolve, structure_constants
+from .algebra import AlgebraContext, structure_constants
 from .linalg import kernel
 from .reconstruction import LinearMap
 from .rings import CapabilityError
@@ -26,12 +26,10 @@ def leibniz_system(ctx: AlgebraContext):
     # right_by_j[k] lists (q, c_{qj}^k); left_by_i[k] lists (q, c_{iq}^k)
     right = [dict() for _ in range(d)]  # j -> {k: [(q, c)]}
     left = [dict() for _ in range(d)]
-    for (q, j), entry in sc.table.items():
+    for (i, j), entry in sc.table.items():
         for k, c in entry:
-            right[j].setdefault(k, []).append((q, c))
-    for (i, q), entry in sc.table.items():
-        for k, c in entry:
-            left[i].setdefault(k, []).append((q, c))
+            right[j].setdefault(k, []).append((i, c))
+            left[i].setdefault(k, []).append((j, c))
     rows = []
     seen = set()
     for (i, j), entry in list(sc.table.items()) + [
@@ -40,9 +38,7 @@ def leibniz_system(ctx: AlgebraContext):
         for j in range(d)
         if (i, j) not in sc.table
     ]:
-        ks = set()
-        for k, _c in entry:
-            ks.add(k)
+        ks = {k for k, _c in entry}
         ks.update(right[j].keys())
         ks.update(left[i].keys())
         for k in ks:
@@ -99,22 +95,28 @@ def moved_basis_tuple(ctx: AlgebraContext, t: LinearMap):
 
 
 def check_derivation(ctx: AlgebraContext, t: LinearMap) -> bool:
-    """Direct Leibniz check T(ab) = T(a)b + aT(b) on all basis pairs.
+    """Direct Leibniz check T(b_i b_j) = T(b_i) b_j + b_i T(b_j) on all basis
+    pairs, which by bilinearity is T(ab) = T(a)b + aT(b) for all a, b.
 
-    Evaluated through the convolution product, independently of the
-    structure-constants table used to assemble the solver's system.
+    Products are read off the context's convolution table, independently of
+    the structure-constants table used to assemble the solver's system, and
+    only the nonzero entries of T's columns are visited.
     """
     if t.dim != ctx.dim:
         raise ValueError(f"dimension mismatch: map is {t.dim}, algebra is {ctx.dim}")
     ring = ctx.ring
-    images = [ctx.from_vector(t.column(j)) for j in range(ctx.dim)]
-    for i in range(ctx.dim):
-        ei = ctx.basis_element(ctx.basis[i])
-        for j in range(ctx.dim):
-            ej = ctx.basis_element(ctx.basis[j])
-            prod = convolve(ei, ej)
-            lhs = ctx.from_vector(t.apply(prod.to_vector()))
-            rhs = convolve(images[i], ej) + convolve(ei, images[j])
-            if lhs != rhs:
-                return False
+    zero = ring.zero()
+    oracle = ctx.oracle_table()
+    cols = [[(p, v) for p, v in enumerate(t.column(j)) if v != zero] for j in range(ctx.dim)]
+    for (i, j), prod in oracle.items():
+        # T(b_i b_j) - T(b_i) b_j - b_i T(b_j) as (scalar, sparse vector) terms
+        terms = [(c, cols[k]) for k, c in prod.coeffs.items()]
+        terms += [(ring.neg(v), oracle[(p, j)].coeffs.items()) for p, v in cols[i]]
+        terms += [(ring.neg(v), oracle[(i, p)].coeffs.items()) for p, v in cols[j]]
+        diff = {}
+        for a, vec in terms:
+            for q, c in vec:
+                diff[q] = ring.add(diff.get(q, zero), ring.mul(a, c))
+        if any(v != zero for v in diff.values()):
+            return False
     return True

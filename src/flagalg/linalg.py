@@ -10,7 +10,6 @@ rows as column->scalar dicts; Z goes through the Hermite normal form.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .rings import CapabilityError, Integers, Rationals, Ring
@@ -307,20 +306,15 @@ def kernel(rows, width: int, ring: Ring) -> Submodule:
     kernel lattice (automatically saturated).
     """
     _require_submodule_support(ring)
-    if ring.is_field:
-        ech = SparseEchelon(ring)
-        for r in rows:
-            ech.add_row(r if isinstance(r, dict) else to_sparse(r))
-        return span(ech.kernel_basis(width), ring, width)
-    # Z: the integer kernel depends only on the Q-row-space, so first reduce
-    # over Q to at most `width` independent rows, clear denominators, then
-    # read the kernel lattice off the transform of the transposed HNF.
-    ech = SparseEchelon(Rationals())
+    # over Z the integer kernel depends only on the Q-row-space: reduce over
+    # Q (integers are Q scalars) to at most `width` independent rows, clear
+    # denominators, then read the kernel lattice off the transform of the
+    # transposed HNF.
+    ech = SparseEchelon(ring if ring.is_field else Rationals())
     for r in rows:
-        if isinstance(r, dict):
-            ech.add_row({c: Fraction(v) for c, v in r.items()})
-        else:
-            ech.add_row({i: Fraction(v) for i, v in enumerate(r) if v})
+        ech.add_row(r if isinstance(r, dict) else to_sparse(r))
+    if ring.is_field:
+        return span(ech.kernel_basis(width), ring, width)
     if ech.rank == width:
         return span([], ring, width)
     reduced = []

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
+from operator import itemgetter
 
 
 class PosetError(Exception):
@@ -169,20 +170,30 @@ class Poset:
         return (up, down, self.height(x))
 
     def canonical_key(self):
-        """Isomorphism-invariant canonical encoding (exact, for m <= 7)."""
+        """Isomorphism-invariant canonical encoding (exact, for m <= 7): the
+        least integer with bit i*m + j = leq[perm[i]][perm[j]] over all perms."""
         m = self.size
-        best = None
-        for perm in permutations(range(m)):
-            bits = 0
-            k = 0
-            for i in range(m):
-                for j in range(m):
-                    if self.leq[perm[i]][perm[j]]:
-                        bits |= 1 << k
-                    k += 1
-            if best is None or bits < best:
-                best = bits
-        return (m, best)
+        if m < 2:
+            return (m, m)  # the empty relation, or the single bit 0 <= 0
+        flat = tuple(v for row in self.leq for v in row)
+        getters = _key_getters(m) if m <= MAX_ENUM_SIZE else _iter_key_getters(m)
+        best = min(getter(flat) for getter in getters)
+        return (m, int("".join("1" if v else "0" for v in best), 2))
+
+
+def _iter_key_getters(m: int):
+    """One itemgetter per permutation of range(m), m >= 2, reading the flat
+    order matrix at perm[i]*m + perm[j] for bit i*m + j from the most
+    significant bit down, so the least tuple read is the least integer."""
+    for perm in permutations(range(m)):
+        yield itemgetter(*(perm[k // m] * m + perm[k % m] for k in reversed(range(m * m))))
+
+
+@lru_cache(maxsize=None)
+def _key_getters(m: int):
+    """The getters of an enumerated size, m <= MAX_ENUM_SIZE, kept for the
+    process; a larger m would keep m! of them."""
+    return tuple(_iter_key_getters(m))
 
 
 def parse_poset(text: str) -> Poset:

@@ -1,9 +1,9 @@
 """Exact coefficient rings: the rationals, prime fields, the integers and Z/m.
 
 All scalar arithmetic in the package goes through these ring objects.  Values
-are plain Python objects (Fraction for Q, int for everything else) kept in a
-canonical form: Fractions are auto-normalized, modular values live in
-[0, m).  No floating point anywhere.
+are plain Python objects kept in a canonical form: a Q scalar is an int when
+it is integral and a Fraction otherwise, every other ring uses ints, and
+modular values live in [0, m).  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -93,26 +93,38 @@ class Ring:
         return f"Ring({self.name})"
 
 
+def _exact(x):
+    """x as an int when integral, else a Fraction; a float raises."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        raise TypeError(f"inexact scalar {x!r} reached Q")
+    return x.numerator if x.denominator == 1 else x
+
+
 class Rationals(Ring):
+    """Q, with integral scalars kept as ints: most scalars of a run are
+    integers, and int arithmetic skips Fraction's objects and gcds."""
+
     name = "Q"
     is_field = True
     supports_submodules = True
     is_indecomposable = True
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def add(self, a, b):
-        return a + b
+        return _exact(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _exact(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _exact(a * b)
 
     def neg(self, a):
         return -a
@@ -120,17 +132,17 @@ class Rationals(Ring):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
+        return _exact(Fraction(1) / a)
 
     def coerce(self, k):
-        return Fraction(k)
+        return _exact(k)
 
     def format(self, a):
         return str(a)
 
     def parse(self, s):
         try:
-            return Fraction(s)
+            return _exact(Fraction(s))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {s!r}") from None
 

@@ -35,30 +35,27 @@ def _capability(theorem, exc):
 
 def suite_flag_algebra(ctx: AlgebraContext):
     entries = []
-    poset, ring = ctx.poset, ctx.ring
-    bad = None
-    for i, x in enumerate(ctx.basis):
-        ex = ctx.basis_element(x)
-        for j, y in enumerate(ctx.basis):
-            if basis_product(ctx, x, y) != convolve(ex, ctx.basis_element(y)):
-                bad = [list(x), list(y)]
-                break
-        if bad:
-            break
+    poset, ring, basis = ctx.poset, ctx.ring, ctx.basis
+    oracle = ctx.oracle_table()
+    bad = next(
+        (
+            [list(basis[i]), list(basis[j])]
+            for (i, j), prod in oracle.items()
+            if basis_product(ctx, basis[i], basis[j]) != prod
+        ),
+        None,
+    )
     entries.append(
         _entry("product-closed-form", "fail" if bad else "pass", bad)
     )
 
     if poset.is_antichain():
-        ok = True
-        for x in ctx.basis:
-            ex = ctx.basis_element(x)
-            for y in ctx.basis:
-                ey = ctx.basis_element(y)
-                for z in ctx.basis:
-                    ez = ctx.basis_element(z)
-                    if convolve(convolve(ex, ey), ez) != convolve(ex, convolve(ey, ez)):
-                        ok = False
+        e = [ctx.basis_element(x) for x in basis]
+        ok = all(
+            convolve(ij, e[k]) == convolve(e[i], oracle[(j, k)])
+            for (i, j), ij in oracle.items()
+            for k in range(ctx.dim)
+        )
         entries.append(_entry("power-associativity", "pass" if ok else "fail"))
     else:
         witness = power_assoc_witness(ctx)

@@ -74,6 +74,16 @@ class TestProduct:
         diamond = Poset.from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
         assert_matches_oracle(AlgebraContext(diamond, 3, PrimeField(3)))
 
+    def test_oracle_table_is_the_basis_convolutions(self):
+        diamond = Poset.from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        ctx = AlgebraContext(diamond, 3, Q)
+        table = ctx.oracle_table()
+        assert list(table) == [(i, j) for i in range(ctx.dim) for j in range(ctx.dim)]
+        for (i, j), prod in table.items():
+            e_i, e_j = ctx.basis_element(ctx.basis[i]), ctx.basis_element(ctx.basis[j])
+            assert prod == convolve(e_i, e_j)
+        assert ctx.oracle_table() is table
+
     def test_context_mismatch_raises(self):
         a = AlgebraContext(chain(2), 3, Q)
         b = AlgebraContext(chain(3), 3, Q)

@@ -211,6 +211,13 @@ class TestExitCodes:
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("error: cannot write report") and r.stderr.count("\n") == 1
 
+    def test_multiply_names_an_unknown_tuple(self, chain2):
+        r = run_cli("multiply", chain2, "--lhs", '[[[0,0,1],"1"]]', "--rhs", '[[[0,0,9],"1"]]')
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert "(0, 0, 9) is not a weakly increasing tuple (multichain) of this poset" in r.stderr
+        assert r.stderr.startswith("error: malformed element") and r.stderr.count("\n") == 1
+
     def test_malformed_poset(self, tmp_path):
         bad = tmp_path / "bad.poset"
         bad.write_text("covers:\na b\n")

@@ -8,6 +8,7 @@ import pytest
 from flagalg.algebra import AlgebraContext, convolve
 from flagalg.derivations import check_derivation, derivation_basis, leibniz_system
 from flagalg.posets import Poset, antichain, chain, enumerate_posets
+from flagalg.reconstruction import LinearMap
 from flagalg.rings import Integers, PrimeField, Rationals
 
 Q = Rationals()
@@ -68,6 +69,22 @@ class TestClassicalContrast:
 
         ctx = AlgebraContext(chain(2), 2, Q)
         assert not check_derivation(ctx, LinearMap.identity(Q, ctx.dim))
+
+
+class TestDirectCheck:
+    def test_six_chain_kernel_maps_pass_and_raised_entries_fail(self):
+        ctx = AlgebraContext(chain(6), 2, Q)
+        d = ctx.dim
+        basis = derivation_basis(ctx)
+        assert len(basis) == 20
+        assert all(check_derivation(ctx, t) for t in basis)
+        # raise one entry of a kernel map by 1, at 15 spread-out positions
+        for k in range(15):
+            t = basis[k % len(basis)]
+            p, q = (5 * k) % d, (3 * k + 1) % d
+            m = [list(row) for row in t.matrix]
+            m[p][q] = Q.add(m[p][q], Q.one())
+            assert not check_derivation(ctx, LinearMap(Q, m)), (k, p, q)
 
 
 class TestSystemShape:

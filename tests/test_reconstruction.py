@@ -165,7 +165,7 @@ class TestGuards:
             i, j = rng.sample(range(d), 2)
             m[i] = [a + rng.choice([-2, -1, 1, 2]) * b for a, b in zip(m[i], m[j])]
             m[i], m[j] = m[j], m[i]
-            m[j] = [x / 3 for x in m[j]]
+            m[j] = [Q.mul(x, Q.inv(Q.coerce(3))) for x in m[j]]
         t = LinearMap(Q, m)
         tinv = t.inverse()
         sc = structure_constants(ctx)
