@@ -22,7 +22,7 @@ from .lattice import (
     quotient,
     z_chain,
 )
-from .linalg import Submodule, kernel, span
+from .linalg import LinearMap, Submodule, kernel, span
 from .posets import (
     Poset,
     antichain,
@@ -34,7 +34,6 @@ from .posets import (
 )
 from .reconstruction import (
     AbstractAlgebra,
-    LinearMap,
     decide_isomorphism,
     enumerate_isomorphisms_exhaustive,
     induced_isomorphism,

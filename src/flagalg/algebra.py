@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .linalg import SparseEchelon
+from .linalg import SparseEchelon, sub_scaled
 from .posets import Poset
 from .rings import Ring, ring_from_spec
 
@@ -89,10 +89,6 @@ class AlgebraContext:
         """The indicator basis element e_x."""
         return FlagElement(self, {self.index_of(t): self.ring.one()})
 
-    def from_vector(self, vec) -> "FlagElement":
-        zero = self.ring.zero()
-        return FlagElement(self, {i: v for i, v in enumerate(vec) if v != zero})
-
     def __repr__(self):
         return f"AlgebraContext(|P|={self.poset.size}, n={self.n}, ring={self.ring.name}, dim={self.dim})"
 
@@ -154,10 +150,6 @@ class FlagElement:
     def __call__(self, t):
         """Evaluate at a multichain tuple."""
         return self.coeffs.get(self.ctx.index[tuple(t)], self.ctx.ring.zero())
-
-    def to_vector(self):
-        zero = self.ctx.ring.zero()
-        return [self.coeffs.get(i, zero) for i in range(self.ctx.dim)]
 
     def __repr__(self):
         ctx = self.ctx
@@ -235,39 +227,32 @@ class StructureConstants:
     def __init__(self, dim: int, ring: Ring, table: dict):
         self.dim = dim
         self.ring = ring
-        self.table = {
-            key: tuple((k, c) for (k, c) in val if c != ring.zero())
-            for key, val in table.items()
-            if val
-        }
-        self.table = {key: val for key, val in self.table.items() if val}
+        entries = ((key, tuple((k, c) for (k, c) in val if c)) for key, val in table.items())
+        self.table = {key: val for key, val in entries if val}
         self.chain = None
 
     def product_coeffs(self, i: int, j: int):
         return self.table.get((i, j), ())
 
-    def multiply(self, u, v):
-        """Product of two dense coefficient vectors."""
-        ring = self.ring
-        out = [ring.zero()] * self.dim
-        # scalars are Fractions or ints, so truthiness is the (fast) zero test
-        nz_u = [(i, a) for i, a in enumerate(u) if a]
-        nz_v = [(j, b) for j, b in enumerate(v) if b]
-        for i, a in nz_u:
-            for j, b in nz_v:
-                entry = self.table.get((i, j))
-                if not entry:
+    def multiply(self, u: dict, v: dict) -> dict:
+        """Product of two sparse vectors."""
+        ring, table = self.ring, self.table
+        zero = ring.zero()
+        out = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                entry = table.get((i, j))
+                if entry is None:
                     continue
                 ab = ring.mul(a, b)
                 for k, c in entry:
-                    out[k] = ring.add(out[k], ring.mul(ab, c))
-        return out
+                    out[k] = ring.add(out.get(k, zero), ring.mul(ab, c))
+        return {k: x for k, x in out.items() if x}
 
-    def commutator_vec(self, u, v):
-        ring = self.ring
-        uv = self.multiply(u, v)
-        vu = self.multiply(v, u)
-        return [ring.sub(a, b) for a, b in zip(uv, vu)]
+    def commutator_vec(self, u: dict, v: dict) -> dict:
+        out = self.multiply(u, v)
+        sub_scaled(out, self.ring.one(), self.multiply(v, u), self.ring)
+        return out
 
     def identity(self, side: str):
         """An element e with e*b = b (side "left") or b*e = b ("right") for
@@ -284,9 +269,7 @@ class StructureConstants:
                     row[j * d + k] = c
             ech.add_row(row, {q: one})
         residue, coords = ech.reduce({j * d + j: one for j in range(d)})
-        if residue:
-            return None
-        return [coords.get(q, ring.zero()) for q in range(d)]
+        return None if residue else coords
 
     def is_commutative(self) -> bool:
         for i in range(self.dim):

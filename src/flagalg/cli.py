@@ -130,7 +130,10 @@ def cmd_reconstruct(args) -> int:
         _emit(report, args.out)
         print(f"reconstruct: FAILED: {exc}", file=sys.stderr)
         return EXIT_THEOREM_VIOLATION
-    fmt = ring.format
+
+    def dense(vec):
+        return [ring.format(vec.get(i, ring.zero())) for i in range(sc.dim)]
+
     report = {
         "artifact_version": __version__,
         "command": "reconstruct",
@@ -138,8 +141,8 @@ def cmd_reconstruct(args) -> int:
         "status": "ok",
         "size": poset.size,
         "covers": [list(c) for c in poset.covers],
-        "element_idempotents": [[fmt(v) for v in vec] for vec in elements],
-        "cover_idempotents": [[fmt(v) for v in vec] for vec in cover_lifts],
+        "element_idempotents": [dense(vec) for vec in elements],
+        "cover_idempotents": [dense(vec) for vec in cover_lifts],
         "stage_ranks": {
             "dim": algebra.dim,
             "elements": poset.size,

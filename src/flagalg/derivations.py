@@ -10,8 +10,7 @@ vector equation per ordered basis pair expands into d scalar rows:
 from __future__ import annotations
 
 from .algebra import AlgebraContext, structure_constants
-from .linalg import kernel
-from .reconstruction import LinearMap
+from .linalg import LinearMap, kernel
 from .rings import CapabilityError
 
 
@@ -76,8 +75,11 @@ def derivation_basis(ctx: AlgebraContext):
     ker = kernel(leibniz_system(ctx), d * d, ring)
     out = []
     for vec in ker.basis:
-        matrix = [vec[p * d : (p + 1) * d] for p in range(d)]
-        out.append(LinearMap(ring, matrix))
+        columns = [{} for _ in range(d)]
+        for index, v in vec.items():
+            p, q = divmod(index, d)
+            columns[q][p] = v
+        out.append(LinearMap(ring, columns))
     return out
 
 
@@ -87,11 +89,7 @@ def moved_basis_tuple(ctx: AlgebraContext, t: LinearMap):
     For n = 3 every derivation kills every basis element, so any such tuple
     names a theorem violation.
     """
-    zero = ctx.ring.zero()
-    return next(
-        (ctx.basis[q] for q in range(ctx.dim) if any(v != zero for v in t.column(q))),
-        None,
-    )
+    return next((ctx.basis[q] for q in range(ctx.dim) if t.column(q)), None)
 
 
 def check_derivation(ctx: AlgebraContext, t: LinearMap) -> bool:
@@ -107,7 +105,7 @@ def check_derivation(ctx: AlgebraContext, t: LinearMap) -> bool:
     ring = ctx.ring
     zero = ring.zero()
     oracle = ctx.oracle_table()
-    cols = [[(p, v) for p, v in enumerate(t.column(j)) if v != zero] for j in range(ctx.dim)]
+    cols = [t.column(j).items() for j in range(ctx.dim)]
     for (i, j), prod in oracle.items():
         # T(b_i b_j) - T(b_i) b_j - b_i T(b_j) as (scalar, sparse vector) terms
         terms = [(c, cols[k]) for k, c in prod.coeffs.items()]

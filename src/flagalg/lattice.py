@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import AlgebraContext, StructureConstants, structure_constants
-from .linalg import SparseEchelon, Submodule, span, to_sparse
+from .linalg import SparseEchelon, Submodule, span, sub_scaled
 from .rings import CapabilityError
 
 
@@ -25,13 +25,8 @@ def ideal_J(ctx: AlgebraContext, k: int) -> Submodule:
     if k < 0:
         raise ValueError("k must be >= 0")
     p = ctx.poset
-    one, zero = ctx.ring.one(), ctx.ring.zero()
-    vecs = []
-    for i, t in enumerate(ctx.basis):
-        if p.length(t[0], t[-1]) >= k:
-            v = [zero] * ctx.dim
-            v[i] = one
-            vecs.append(v)
+    one = ctx.ring.one()
+    vecs = [{i: one} for i, t in enumerate(ctx.basis) if p.length(t[0], t[-1]) >= k]
     return span(vecs, ctx.ring, ctx.dim)
 
 
@@ -55,8 +50,7 @@ def commutator_chain(sc: StructureConstants):
     """
     if sc.chain is None:
         ring, d = sc.ring, sc.dim
-        one, zero = ring.one(), ring.zero()
-        basis = [[one if i == j else zero for j in range(d)] for i in range(d)]
+        basis = [{i: ring.one()} for i in range(d)]
         chain = []
         for _ in range(3):
             brackets = [sc.commutator_vec(u, v) for i, u in enumerate(basis) for v in basis[i + 1 :]]
@@ -92,21 +86,19 @@ class QuotientAlgebra:
         if not ring.is_field:
             raise CapabilityError("quotient algebras are implemented over fields")
         self.ring = ring
-        self.numerator = numerator
         # stored rows are tagged by the transversal representative they
         # carry, so reducing a vector of U yields its quotient coordinates
         self._echelon = SparseEchelon(ring)
         for row in denominator.basis:
-            self._echelon.add_row(to_sparse(row))
-        zero, one = ring.zero(), ring.one()
+            self._echelon.add_row(row)
         transversal = []
         for row in numerator.basis:
-            residue, _ = self._echelon.reduce(to_sparse(row))
+            residue, _ = self._echelon.reduce(row)
             if residue:
                 inv = ring.inv(residue[min(residue)])
                 rep = {c: ring.mul(inv, x) for c, x in residue.items()}
-                self._echelon.add_row(rep, {len(transversal): one})
-                transversal.append(tuple(rep.get(i, zero) for i in range(algebra.dim)))
+                self._echelon.add_row(rep, {len(transversal): ring.one()})
+                transversal.append(rep)
         if self._echelon.rank != numerator.rank:
             raise IdealError("denominator is not contained in the numerator")
         self.transversal = tuple(transversal)
@@ -114,39 +106,32 @@ class QuotientAlgebra:
         table = {}
         for i, a in enumerate(self.transversal):
             for j, b in enumerate(self.transversal):
-                residue, coords = self._echelon.reduce(to_sparse(algebra.multiply(a, b)))
+                residue, coords = self._echelon.reduce(algebra.multiply(a, b))
                 if residue:
                     raise IdealError("numerator is not closed under the product")
                 table[(i, j)] = sorted(coords.items())
         for a in numerator.basis:
             for b in denominator.basis:
-                if any(self._echelon.reduce(to_sparse(algebra.multiply(a, b)))):
+                if any(self._echelon.reduce(algebra.multiply(a, b))):
                     raise IdealError("denominator is not a left ideal of the numerator")
-                if any(self._echelon.reduce(to_sparse(algebra.multiply(b, a)))):
+                if any(self._echelon.reduce(algebra.multiply(b, a))):
                     raise IdealError("denominator is not a right ideal of the numerator")
         self.sc = StructureConstants(self.dim, ring, table)
 
     def reduce(self, vector):
         """Quotient coordinates of an ambient vector in U (else IdealError)."""
-        residue, coords = self._echelon.reduce(to_sparse(vector))
+        residue, coords = self._echelon.reduce(vector)
         if residue:
             raise IdealError("vector is not in the numerator submodule")
-        return [coords.get(k, self.ring.zero()) for k in range(self.dim)]
+        return coords
 
     def lift(self, coords):
         """Ambient representative of a quotient coordinate vector."""
         ring = self.ring
-        zero = ring.zero()
-        out = [zero] * self.numerator.ambient
-        for c, rep in zip(coords, self.transversal):
-            if c != zero:
-                for i, x in enumerate(rep):
-                    if x != zero:
-                        out[i] = ring.add(out[i], ring.mul(c, x))
+        out = {}
+        for k, c in coords.items():
+            sub_scaled(out, ring.neg(c), self.transversal[k], ring)
         return out
-
-    def multiply(self, u, v):
-        return self.sc.multiply(u, v)
 
 
 def quotient(sc: StructureConstants, u: Submodule, v: Submodule) -> QuotientAlgebra:
@@ -200,8 +185,9 @@ def primitive_idempotents(q):
     """Complete orthogonal primitive idempotent decomposition over a field.
 
     Accepts a QuotientAlgebra or a StructureConstants of a commutative
-    unital algebra.  Returns quotient/abstract coordinate vectors.  Splits
-    every idempotent e by the eigenvalues of e*t for the probes
+    unital algebra.  Returns quotient/abstract coordinate vectors, in the
+    order of their dense coordinate tuples.  Splits every idempotent e by
+    the eigenvalues of e*t for the probes
     t = sum_k (k+1) b_k, b_0, ..., b_(d-1) until there are d of them: the
     basis separates the components of a product of copies of the field,
     and any other algebra raises SplittingError naming a minimal polynomial.
@@ -219,15 +205,15 @@ def primitive_idempotents(q):
     if identity is None:
         raise SplittingError("algebra has no identity; not a product of copies of R")
     d = sc.dim
-    zero, one = ring.zero(), ring.one()
-    probes = [[ring.coerce(k + 1) for k in range(d)]]
-    probes += [[one if i == k else zero for i in range(d)] for k in range(d)]
+    probes = [{k: ring.coerce(k + 1) for k in range(d) if ring.coerce(k + 1)}]
+    probes += [{k: ring.one()} for k in range(d)]
     idems = [identity]
     for t in probes:
         if len(idems) == d:
             break
         idems = [u for e in idems for u in _split(sc, e, t)]
-    return sorted(tuple(e) for e in idems)
+    zero = ring.zero()
+    return sorted(idems, key=lambda e: [e.get(i, zero) for i in range(d)])
 
 
 def _split(sc, unit, t):
@@ -245,23 +231,26 @@ def _split(sc, unit, t):
             f"a probe element has minimal polynomial {' + '.join(terms)} with {len(roots)} distinct "
             f"root(s) in {ring.name}, not {k}; the algebra is not a product of copies of {ring.name}"
         )
+    one = ring.one()
     idems = []
-    total = [ring.zero()] * sc.dim
+    total = {}
     for lam in roots:
         # u = unit * prod_(mu != lam) (t - mu) / (lam - mu)
-        u = list(unit)
-        denom = ring.one()
+        u = unit
+        denom = one
         for mu in roots:
             if mu != lam:
-                u = sc.multiply(u, [ring.sub(a, ring.mul(mu, e)) for a, e in zip(t, unit)])
+                shifted = dict(t)
+                sub_scaled(shifted, mu, unit, ring)
+                u = sc.multiply(u, shifted)
                 denom = ring.mul(denom, ring.sub(lam, mu))
         dinv = ring.inv(denom)
-        u = [ring.mul(dinv, x) for x in u]
+        u = {i: ring.mul(dinv, x) for i, x in u.items()}
         if sc.multiply(u, u) != u:
             raise SplittingError("a Lagrange element does not square to itself")
         idems.append(u)
-        total = [ring.add(a, b) for a, b in zip(total, u)]
-    if total != list(unit):
+        sub_scaled(total, ring.neg(one), u, ring)
+    if total != unit:
         raise SplittingError("the Lagrange idempotents do not sum to the component identity")
     return idems
 
@@ -274,9 +263,9 @@ def _min_poly_component(sc, unit, t, ring):
     """
     zero = ring.zero()
     ech = SparseEchelon(ring)  # powers t^0 .. t^(k-1), row i tagged i
-    power = list(unit)
+    power = unit
     for k in range(sc.dim + 2):
-        residue, coords = ech.reduce(to_sparse(power))
+        residue, coords = ech.reduce(power)
         if not residue:
             # t^k = sum coords[i] t^i
             return [ring.neg(coords.get(i, zero)) for i in range(k)]

@@ -1,11 +1,12 @@
 """Exact linear algebra over fields and Z.
 
+A vector is a dict from index to nonzero scalar, everywhere in the package
+(scalars are Fractions or ints, so a scalar's truthiness is its zero test).
 Submodules of R^d are kept in a canonical basis (reduced row echelon form
 over fields, row-style Hermite normal form over Z), so equal submodules
-compare bit-identically.  Vectors are plain lists/tuples of ring scalars
-(Fractions or ints, so a scalar's truthiness is its zero test).  Every
-elimination over a field goes through SparseEchelon, which stores
-rows as column->scalar dicts; Z goes through the Hermite normal form.
+compare equal.  Every elimination over a field goes through SparseEchelon;
+Z goes through the Hermite normal form, the one place here where vectors
+are dense lists.  A LinearMap keeps its matrix as sparse columns.
 """
 
 from __future__ import annotations
@@ -23,7 +24,12 @@ def _require_submodule_support(ring: Ring):
         )
 
 
-def _sub_scaled(target: dict, a, source: dict, ring: Ring):
+def _check_bounds(vector: dict, ambient: int):
+    if any(not 0 <= i < ambient for i in vector):
+        raise ValueError(f"vector {vector} has an index outside range({ambient})")
+
+
+def sub_scaled(target: dict, a, source: dict, ring: Ring):
     """target -= a * source on sparse dicts, in place, dropping zeros."""
     zero = ring.zero()
     for c, v in source.items():
@@ -72,9 +78,9 @@ class SparseEchelon:
             coeff = row.get(col, zero)
             if not coeff:
                 continue
-            _sub_scaled(row, coeff, piv, ring)
+            sub_scaled(row, coeff, piv, ring)
             if self.tags[col]:
-                _sub_scaled(coords, ring.neg(coeff), self.tags[col], ring)
+                sub_scaled(coords, ring.neg(coeff), self.tags[col], ring)
         return {c: v for c, v in row.items() if v}, coords
 
     def add_row(self, row: dict, tag: dict | None = None) -> bool:
@@ -84,7 +90,7 @@ class SparseEchelon:
         if not row:
             return False
         tag = dict(tag or {})
-        _sub_scaled(tag, ring.one(), coords, ring)
+        sub_scaled(tag, ring.one(), coords, ring)
         pcol = min(row)
         pinv = ring.inv(row[pcol])
         row = {c: ring.mul(pinv, v) for c, v in row.items()}
@@ -94,9 +100,9 @@ class SparseEchelon:
             coeff = other.get(pcol)
             if coeff is None:
                 continue
-            _sub_scaled(other, coeff, row, ring)
+            sub_scaled(other, coeff, row, ring)
             if tag:
-                _sub_scaled(self.tags[col], coeff, tag, ring)
+                sub_scaled(self.tags[col], coeff, tag, ring)
         self.pivots[pcol] = row
         self.tags[pcol] = tag
         return True
@@ -106,25 +112,18 @@ class SparseEchelon:
         return len(self.pivots)
 
     def kernel_basis(self, width: int) -> list:
-        """Basis of the null space of the row span, as dense vectors."""
+        """Basis of the null space of the row span, one vector per free column."""
         ring = self.ring
-        zero, one = ring.zero(), ring.one()
         free = [c for c in range(width) if c not in self.pivots]
         basis = []
         for f in free:
-            v = [zero] * width
-            v[f] = one
+            v = {f: ring.one()}
             for pcol, row in self.pivots.items():
                 coeff = row.get(f)
                 if coeff is not None:
                     v[pcol] = ring.neg(coeff)
             basis.append(v)
         return basis
-
-
-def to_sparse(vector) -> dict:
-    """The nonzero entries of a dense vector as a column -> scalar dict."""
-    return {i: v for i, v in enumerate(vector) if v}
 
 
 def hnf(rows):
@@ -225,13 +224,12 @@ class Submodule:
     residue test on it; over Z membership divides down the HNF pivots.
     """
 
-    __slots__ = ("ring", "ambient", "basis", "_pivots", "_echelon")
+    __slots__ = ("ring", "ambient", "basis", "_echelon")
 
-    def __init__(self, ring: Ring, ambient: int, canonical_basis, pivots, echelon=None):
+    def __init__(self, ring: Ring, ambient: int, canonical_basis, echelon=None):
         self.ring = ring
         self.ambient = ambient
-        self.basis = tuple(tuple(r) for r in canonical_basis)
-        self._pivots = tuple(pivots)
+        self.basis = tuple(canonical_basis)
         self._echelon = echelon  # field only: the SparseEchelon of the basis
 
     @property
@@ -247,60 +245,54 @@ class Submodule:
         )
 
     def __hash__(self):
-        return hash((self.ring, self.ambient, self.basis))
+        return hash((self.ring, self.ambient, tuple(tuple(sorted(r.items())) for r in self.basis)))
 
     def __repr__(self):
         return f"Submodule(ring={self.ring.name}, ambient={self.ambient}, rank={self.rank})"
 
-    def contains(self, vector) -> bool:
-        if len(vector) != self.ambient:
-            raise ValueError(
-                f"dimension mismatch: vector of length {len(vector)} "
-                f"in ambient dimension {self.ambient}"
-            )
+    def contains(self, vector: dict) -> bool:
+        _check_bounds(vector, self.ambient)
         if self._echelon is not None:
-            return not self._echelon.reduce(to_sparse(vector))[0]
-        v = list(vector)
-        for (pc, row) in zip(self._pivots, self.basis):
-            q, r = divmod(v[pc], row[pc])
+            return not self._echelon.reduce(vector)[0]
+        v = dict(vector)
+        for row in self.basis:
+            pc = min(row)
+            q, r = divmod(v.get(pc, 0), row[pc])
             if r != 0:
                 return False
             if q:
-                for i in range(pc, self.ambient):
-                    v[i] -= q * row[i]
-        return not any(v)
+                sub_scaled(v, q, row, self.ring)
+        return not v
 
     def is_subset_of(self, other: "Submodule") -> bool:
         return all(other.contains(row) for row in self.basis)
 
 
+def _hnf_submodule(ring: Ring, ambient: int, dense_rows) -> Submodule:
+    rows = hnf(dense_rows)
+    return Submodule(ring, ambient, [{i: x for i, x in enumerate(r) if x} for r in rows])
+
+
 def span(vectors, ring: Ring, ambient: int | None = None) -> Submodule:
-    """Canonical-form submodule generated by the given vectors."""
+    """Canonical-form submodule of R^ambient generated by the given vectors."""
     _require_submodule_support(ring)
-    vectors = [list(v) for v in vectors]
     if ambient is None:
-        if not vectors:
-            raise ValueError("ambient dimension required for an empty generating set")
-        ambient = len(vectors[0])
+        raise ValueError("ambient dimension required: sparse vectors do not carry it")
+    vectors = list(vectors)
     for v in vectors:
-        if len(v) != ambient:
-            raise ValueError("generators have mismatched ambient dimensions")
+        _check_bounds(v, ambient)
     if isinstance(ring, Integers):
-        rows = hnf(vectors)
-        pivots = [next(i for i, x in enumerate(r) if x) for r in rows]
-        return Submodule(ring, ambient, rows, pivots)
+        return _hnf_submodule(ring, ambient, [[v.get(i, 0) for i in range(ambient)] for v in vectors])
     # reduced row echelon form: the stored rows by pivot column
     ech = SparseEchelon(ring)
     for v in vectors:
-        ech.add_row(to_sparse(v))
-    pivots = sorted(ech.pivots)
-    zero = ring.zero()
-    rows = [[ech.pivots[pc].get(i, zero) for i in range(ambient)] for pc in pivots]
-    return Submodule(ring, ambient, rows, pivots, ech)
+        ech.add_row(v)
+    return Submodule(ring, ambient, [ech.pivots[pc] for pc in sorted(ech.pivots)], ech)
 
 
 def kernel(rows, width: int, ring: Ring) -> Submodule:
-    """Canonical basis of {v : Mv = 0} for the matrix M with the given rows.
+    """Canonical basis of {v : Mv = 0} for the matrix M with the given
+    sparse rows.
 
     Over a field this is the classical null space; over Z it is the full
     kernel lattice (automatically saturated).
@@ -312,7 +304,7 @@ def kernel(rows, width: int, ring: Ring) -> Submodule:
     # transposed HNF.
     ech = SparseEchelon(ring if ring.is_field else Rationals())
     for r in rows:
-        ech.add_row(r if isinstance(r, dict) else to_sparse(r))
+        ech.add_row(r)
     if ring.is_field:
         return span(ech.kernel_basis(width), ring, width)
     if ech.rank == width:
@@ -324,23 +316,68 @@ def kernel(rows, width: int, ring: Ring) -> Submodule:
         for v in row.values():
             denom = denom * v.denominator // gcd(denom, v.denominator)
         reduced.append([int(row.get(i, 0) * denom) for i in range(width)])
-    if not reduced:
-        # zero matrix: kernel is everything
-        eye = [[1 if i == j else 0 for j in range(width)] for i in range(width)]
-        return span(eye, ring, width)
+    # with no rows, every column of the transform is a kernel vector
     transposed = [[r[i] for r in reduced] for i in range(width)]
     h, u = hnf_with_transform(transposed)
-    kernel_rows = [u[i] for i in range(width) if not any(h[i])]
-    return span(kernel_rows, ring, width)
+    return _hnf_submodule(ring, width, [u[i] for i in range(width) if not any(h[i])])
 
 
-def mat_vec(matrix, vector, ring: Ring):
-    zero = ring.zero()
-    out = []
-    for row in matrix:
-        acc = zero
-        for a, b in zip(row, vector):
-            if a and b:
-                acc = ring.add(acc, ring.mul(a, b))
-        out.append(acc)
-    return out
+class LinearMap:
+    """A d x d matrix over a field or Z, kept as its sparse columns: column j
+    is the image of basis vector j."""
+
+    __slots__ = ("ring", "columns")
+
+    def __init__(self, ring: Ring, columns):
+        self.ring = ring
+        self.columns = tuple(columns)
+
+    @property
+    def dim(self):
+        return len(self.columns)
+
+    @property
+    def matrix(self):
+        """The dense rows, for reports."""
+        zero = self.ring.zero()
+        return tuple(tuple(col.get(i, zero) for col in self.columns) for i in range(self.dim))
+
+    def column(self, j):
+        return self.columns[j]
+
+    def apply(self, vector: dict) -> dict:
+        ring = self.ring
+        out = {}
+        for j, a in vector.items():
+            sub_scaled(out, ring.neg(a), self.columns[j], ring)
+        return out
+
+    def column_echelon(self):
+        """The echelon of the columns, column j tagged j, or None if the map
+        is singular over a field: reducing v yields T^-1 v as its coords."""
+        ech = SparseEchelon(self.ring)
+        for j, col in enumerate(self.columns):
+            ech.add_row(col, {j: self.ring.one()})
+        return ech if ech.rank == self.dim else None
+
+    def inverse(self):
+        """The inverse map over a field, or None if singular."""
+        ech = self.column_echelon()
+        if ech is None:
+            return None
+        # reducing e_i yields column i of the inverse
+        return LinearMap(self.ring, [ech.reduce({i: self.ring.one()})[1] for i in range(self.dim)])
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, LinearMap)
+            and self.ring == other.ring
+            and self.columns == other.columns
+        )
+
+    def __hash__(self):
+        return hash((self.ring, tuple(tuple(sorted(c.items())) for c in self.columns)))
+
+    @classmethod
+    def identity(cls, ring: Ring, dim: int) -> "LinearMap":
+        return cls(ring, [{j: ring.one()} for j in range(dim)])

@@ -9,9 +9,9 @@ import random
 
 from .algebra import AlgebraContext, StructureConstants, structure_constants
 from .lattice import IdealError, SplittingError, commutator_chain, primitive_idempotents, quotient
-from .linalg import SparseEchelon, mat_vec, span, to_sparse
+from .linalg import LinearMap, span, sub_scaled
 from .posets import Poset, find_isomorphism, is_order_isomorphism
-from .rings import CapabilityError, Ring
+from .rings import CapabilityError
 
 
 class ReconstructionError(Exception):
@@ -37,63 +37,6 @@ class AbstractAlgebra:
         return cls(structure_constants(ctx))
 
 
-class LinearMap:
-    """A d x d matrix over the ring; columns are images of basis vectors."""
-
-    __slots__ = ("ring", "matrix")
-
-    def __init__(self, ring: Ring, matrix):
-        self.ring = ring
-        self.matrix = tuple(tuple(row) for row in matrix)
-
-    @property
-    def dim(self):
-        return len(self.matrix)
-
-    def apply(self, vector):
-        return mat_vec(self.matrix, vector, self.ring)
-
-    def column(self, j):
-        return [row[j] for row in self.matrix]
-
-    def column_echelon(self):
-        """The echelon of the columns, column j tagged j, or None if the map
-        is singular over a field: reducing v yields T^-1 v as its coords."""
-        ech = SparseEchelon(self.ring)
-        for j in range(self.dim):
-            ech.add_row(to_sparse(self.column(j)), {j: self.ring.one()})
-        return ech if ech.rank == self.dim else None
-
-    def inverse(self):
-        """The inverse map over a field, or None if singular."""
-        ech = self.column_echelon()
-        if ech is None:
-            return None
-        # reducing e_i yields column i of the inverse
-        ring, d = self.ring, self.dim
-        cols = [ech.reduce({i: ring.one()})[1] for i in range(d)]
-        return LinearMap(ring, [[cols[i].get(k, ring.zero()) for i in range(d)] for k in range(d)])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearMap)
-            and self.ring == other.ring
-            and self.matrix == other.matrix
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.matrix))
-
-    @classmethod
-    def identity(cls, ring: Ring, dim: int) -> "LinearMap":
-        one, zero = ring.one(), ring.zero()
-        return cls(ring, [[one if i == j else zero for j in range(dim)] for i in range(dim)])
-
-
-def _leading_index(v):
-    return next(i for i, x in enumerate(v) if x)
-
-
 def reconstruct_poset(a: AbstractAlgebra):
     """Recover (Poset, element idempotent lifts, cover idempotent lifts).
 
@@ -116,8 +59,7 @@ def reconstruct_poset(a: AbstractAlgebra):
             f"the table has {len(sc.table)} nonzero products for dim {d}: A*A != A, unlike any third flag algebra"
         )
     c1, c2, c3 = commutator_chain(sc)
-    one, zero = ring.one(), ring.zero()
-    std = [[one if i == j else zero for j in range(d)] for i in range(d)]
+    std = [{i: ring.one()} for i in range(d)]
     try:
         q1 = quotient(sc, span(std, ring, d), c1)
     except IdealError:
@@ -129,7 +71,10 @@ def reconstruct_poset(a: AbstractAlgebra):
     # order by leading coordinate so canonical input labels elements by the
     # position of e_(x,...,x) in the basis; ties by the lift itself, which
     # does not depend on the quotient's coordinates
-    elements = sorted((q1.lift(e) for e in elem_idems), key=lambda v: (_leading_index(v), v))
+    zero = ring.zero()
+    elements = sorted(
+        (q1.lift(e) for e in elem_idems), key=lambda v: (min(v), [v.get(i, zero) for i in range(d)])
+    )
     m = len(elements)
 
     # pipeline self-checks: C1*C2 <= C2 and A*C3 <= C2 make the endpoint
@@ -155,7 +100,7 @@ def reconstruct_poset(a: AbstractAlgebra):
             raise ReconstructionError(f"C2/C3 is not a quotient algebra: {exc}")
         except SplittingError as exc:
             raise ReconstructionError(f"cover quotient did not split: {exc}") from exc
-        for f in sorted((q2.lift(e) for e in cover_idems), key=_leading_index):
+        for f in sorted((q2.lift(e) for e in cover_idems), key=min):
             src = [x for x in range(m) if not c2.contains(sc.multiply(elements[x], f))]
             tgt = [y for y in range(m) if not c2.contains(sc.multiply(f, elements[y]))]
             if len(src) != 1 or len(tgt) != 1 or src == tgt:
@@ -190,12 +135,11 @@ def scramble(ctx: AlgebraContext, seed: int) -> AbstractAlgebra:
         raise CapabilityError("scramble requires field coefficients")
     d = ctx.dim
     rng = random.Random(seed)
-    one, zero = ring.one(), ring.zero()
-    t = [[one if i == j else zero for j in range(d)] for i in range(d)]
+    t = [{i: ring.one()} for i in range(d)]  # the map's rows
 
     def shear(i, j, c):
         # row_i += c * row_j
-        t[i] = [ring.add(a, ring.mul(c, b)) for a, b in zip(t[i], t[j])]
+        sub_scaled(t[i], ring.neg(c), t[j], ring)
 
     for _ in range(2 * d):
         kind = rng.randrange(4)
@@ -209,15 +153,19 @@ def scramble(ctx: AlgebraContext, seed: int) -> AbstractAlgebra:
             t[i], t[j] = t[j], t[i]
         elif kind == 2:
             i = rng.randrange(d)
-            t[i] = [ring.neg(x) for x in t[i]]
+            t[i] = {k: ring.neg(x) for k, x in t[i].items()}
         else:
             i = rng.randrange(d)
             c = ring.coerce(rng.choice([2, 3]))
             if ring.name == "Q" and rng.random() < 0.5:
                 c = ring.inv(c)
-            if c != zero:
-                t[i] = [ring.mul(c, x) for x in t[i]]
-    return conjugate_table(ctx, LinearMap(ring, t))
+            if c:
+                t[i] = {k: ring.mul(c, x) for k, x in t[i].items()}
+    columns = [{} for _ in range(d)]
+    for i, row in enumerate(t):
+        for j, x in row.items():
+            columns[j][i] = x
+    return conjugate_table(ctx, LinearMap(ring, columns))
 
 
 def conjugate_table(ctx: AlgebraContext, t: LinearMap) -> AbstractAlgebra:
@@ -228,11 +176,10 @@ def conjugate_table(ctx: AlgebraContext, t: LinearMap) -> AbstractAlgebra:
     ech = t.column_echelon()
     if ech is None:
         raise ValueError("conjugating map is singular")
-    cols = [t.column(j) for j in range(ctx.dim)]
     table = {}
-    for i, a in enumerate(cols):
-        for j, b in enumerate(cols):
-            table[(i, j)] = sorted(ech.reduce(to_sparse(sc.multiply(a, b)))[1].items())
+    for i, a in enumerate(t.columns):
+        for j, b in enumerate(t.columns):
+            table[(i, j)] = sorted(ech.reduce(sc.multiply(a, b))[1].items())
     return AbstractAlgebra(StructureConstants(ctx.dim, ctx.ring, table))
 
 
@@ -244,14 +191,8 @@ def induced_isomorphism(phi, ctx_p: AlgebraContext, ctx_q: AlgebraContext) -> Li
         raise ValueError("contexts have different flag orders")
     if not is_order_isomorphism(ctx_p.poset, ctx_q.poset, phi):
         raise ValueError("phi is not an order isomorphism")
-    ring = ctx_p.ring
-    d = ctx_p.dim
-    zero, one = ring.zero(), ring.one()
-    matrix = [[zero] * d for _ in range(d)]
-    for j, tup in enumerate(ctx_p.basis):
-        image = tuple(phi[x] for x in tup)
-        matrix[ctx_q.index[image]][j] = one
-    return LinearMap(ring, matrix)
+    one = ctx_p.ring.one()
+    return LinearMap(ctx_p.ring, [{ctx_q.index[tuple(phi[x] for x in tup)]: one} for tup in ctx_p.basis])
 
 
 def is_algebra_isomorphism(t: LinearMap, a, b) -> bool:
@@ -268,11 +209,10 @@ def is_algebra_isomorphism(t: LinearMap, a, b) -> bool:
     if ech is None:
         return False
     # T is multiplicative iff T^-1 ((T b_i)(T b_j)) = b_i b_j for all i, j
-    cols = [t.column(j) for j in range(t.dim)]
     return all(
-        ech.reduce(to_sparse(sb.multiply(u, v)))[1] == dict(sa.product_coeffs(i, j))
-        for i, u in enumerate(cols)
-        for j, v in enumerate(cols)
+        ech.reduce(sb.multiply(u, v))[1] == dict(sa.product_coeffs(i, j))
+        for i, u in enumerate(t.columns)
+        for j, v in enumerate(t.columns)
     )
 
 
@@ -328,7 +268,7 @@ def enumerate_isomorphisms_exhaustive(a, b):
         return w
 
     found = []
-    zero, one = ring.zero(), ring.one()
+    one = ring.one()
     for code in range(1 << (d * d)):
         cols = [(code >> (d * i)) & ((1 << d) - 1) for i in range(d)]
 
@@ -343,7 +283,7 @@ def enumerate_isomorphisms_exhaustive(a, b):
             apply_t(amask[i][j]) == mul_b(cols[i], cols[j]) for i in range(d) for j in range(d)
         )
         if multiplicative:
-            t = LinearMap(ring, [[one if cols[j] >> r & 1 else zero for j in range(d)] for r in range(d)])
+            t = LinearMap(ring, [{r: one for r in range(d) if cols[j] >> r & 1} for j in range(d)])
             if t.column_echelon() is not None:
                 found.append(t)
     return found

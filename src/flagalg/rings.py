@@ -141,6 +141,9 @@ class Rationals(Ring):
         return str(a)
 
     def parse(self, s):
+        # Fraction("1e800000") would build 10**800000 from 8 characters
+        if "e" in s or "E" in s:
+            raise ValueError(f"exponent notation is not accepted: {s!r}")
         try:
             return _exact(Fraction(s))
         except ZeroDivisionError:

@@ -108,13 +108,8 @@ def suite_submodules(ctx: AlgebraContext):
     )
     # C2 = span{e_xxy + e_xyy : l(x,y) = 1} + J^3_2
     one = ring.one()
-    zero = ring.zero()
-    gens = [list(r) for r in j2.basis]
-    for (x, y) in poset.covers:
-        v = [zero] * ctx.dim
-        v[ctx.index[(x, x, y)]] = one
-        v[ctx.index[(x, y, y)]] = one
-        gens.append(v)
+    gens = list(j2.basis)
+    gens += [{ctx.index[(x, x, y)]: one, ctx.index[(x, y, y)]: one} for (x, y) in poset.covers]
     rhs = span(gens, ring, ctx.dim)
     c1sq = mul_submodule(sc, c1, c1)
     ok2 = c2 == rhs and c1sq == rhs

@@ -27,11 +27,10 @@ from flagalg.lattice import (
     quotient,
     z_chain,
 )
-from flagalg.linalg import span
+from flagalg.linalg import LinearMap, span
 from flagalg.posets import antichain, chain, enumerate_posets, find_isomorphism
 from flagalg.reconstruction import (
     AbstractAlgebra,
-    LinearMap,
     enumerate_isomorphisms_exhaustive,
     induced_isomorphism,
     reconstruct_poset,
@@ -131,12 +130,9 @@ def test_criterion_4_z_chain():
             ctx = AlgebraContext(p, 3, ring)
             c1, c2, c3 = z_chain(ctx)
             gens = list(ideal_J(ctx, 2).basis)
-            one, zero = ring.one(), ring.zero()
+            one = ring.one()
             for (x, y) in p.covers:
-                vec = [zero] * ctx.dim
-                vec[ctx.index[(x, x, y)]] = one
-                vec[ctx.index[(x, y, y)]] = one
-                gens.append(vec)
+                gens.append({ctx.index[(x, x, y)]: one, ctx.index[(x, y, y)]: one})
             assert c2 == span(gens, ring, ctx.dim), (p, ring.name)
             assert c3 == ideal_J(ctx, 2), (p, ring.name)
     report("ACCEPTANCE 4 z-chain-identification: PASS")
@@ -202,10 +198,11 @@ def test_criterion_8_derivation_triviality():
     assert len(basis) == 2
     for t in basis:
         assert check_derivation(ctx, t)
-    # the two inner witnesses ad(e_00), ad(e_01)
-    zero, one = Q.zero(), Q.one()
-    ad_e00 = LinearMap(Q, [[zero] * 3, [zero, one, zero], [zero] * 3])
-    ad_e01 = LinearMap(Q, [[zero] * 3, [one, zero, -one], [zero] * 3])
+    # the two inner witnesses ad(e_00), ad(e_01), by columns: the matrix
+    # rows are [0, 0, 0], [0, 1, 0], [0, 0, 0] and [0, 0, 0], [1, 0, -1], [0, 0, 0]
+    one = Q.one()
+    ad_e00 = LinearMap(Q, [{}, {1: one}, {}])
+    ad_e01 = LinearMap(Q, [{1: one}, {}, {1: -one}])
     for w in (ad_e00, ad_e01):
         assert check_derivation(ctx, w)
     report("ACCEPTANCE 8 derivation-triviality: PASS")

@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,7 @@ from flagalg import cli, derivations, reconstruction, suites
 from flagalg.algebra import AlgebraContext, structure_constants
 from flagalg.lattice import SplittingError
 from flagalg.linalg import span
-from flagalg.posets import chain, enumerate_posets
+from flagalg.posets import Poset, chain, enumerate_posets
 from flagalg.reconstruction import ReconstructionError, scramble
 from flagalg.rings import PrimeField, Rationals, ring_from_spec
 
@@ -193,8 +194,16 @@ class TestExitCodes:
             '{"dim":2,"ring":"Q","table":[[0,0,[[1,"1/0"]]]]}',
             '{"dim":-1,"ring":"Q","table":[]}',
             '{"dim":1,"ring":"Fp:2","table":[[0,0,[[0,"1 mod 7"]]]]}',
+            '{"dim":1,"ring":"Q","table":[[0,0,[[0,"1e800000"]]]]}',
         ],
-        ids=["entry-not-a-list", "top-level-list", "zero-denominator", "negative-dim", "wrong-modulus"],
+        ids=[
+            "entry-not-a-list",
+            "top-level-list",
+            "zero-denominator",
+            "negative-dim",
+            "wrong-modulus",
+            "exponent-scalar",
+        ],
     )
     def test_malformed_table_is_input_error(self, tmp_path, table):
         f = tmp_path / "bad.json"
@@ -217,6 +226,15 @@ class TestExitCodes:
         assert "Traceback" not in r.stderr
         assert "(0, 0, 9) is not a weakly increasing tuple (multichain) of this poset" in r.stderr
         assert r.stderr.startswith("error: malformed element") and r.stderr.count("\n") == 1
+
+    def test_multiply_refuses_an_exponent_scalar(self, chain2):
+        # "1e800000" would parse to a 2.66-million-bit integer
+        r = run_cli("multiply", chain2, "--lhs", '[[[0,0,1],"1e800000"]]', "--rhs", "[]")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: malformed element") and r.stderr.count("\n") == 1
+        assert "exponent notation" in r.stderr
 
     def test_malformed_poset(self, tmp_path):
         bad = tmp_path / "bad.poset"
@@ -254,6 +272,18 @@ class TestReconstruct:
         assert r.returncode == 0
         assert r.stdout == (DATA / "reconstruct_order_fp3_seed2.json").read_text()
 
+    def test_q_report_is_pinned(self, tmp_path):
+        # the diamond's table scrambled over Q: the pinned report holds the
+        # element and cover lifts in their report order, Fractions included
+        diamond = Poset.from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        sc = scramble(AlgebraContext(diamond, 3, Rationals()), 0).sc
+        assert sum(type(c) is Fraction for entry in sc.table.values() for _k, c in entry) == 52
+        f = tmp_path / "scrambled.json"
+        f.write_text(sc.to_json())
+        r = run_cli("reconstruct", str(f), "--ring", "Q")
+        assert r.returncode == 0
+        assert r.stdout == (DATA / "reconstruct_diamond_q_seed0.json").read_text()
+
 
 class TestDerivations:
     def test_trivial_for_three_flags(self, chain2):
@@ -270,7 +300,7 @@ class TestDerivations:
         # a nonzero n = 3 kernel must be reported, not crash: fake a kernel
         # holding the map with D[0][0] = 1, which moves e_(0,0,0)
         def fake_kernel(rows, width, ring):
-            return span([[ring.one()] + [ring.zero()] * (width - 1)], ring, width)
+            return span([{0: ring.one()}], ring, width)
 
         monkeypatch.setattr(derivations, "kernel", fake_kernel)
         assert cli.main(["derivations", chain2]) == 1
@@ -285,6 +315,14 @@ class TestDerivations:
                 "counterexample": {"kernel_rank": 1, "basis_tuple": [0, 0, 0]},
             }
         ]
+
+    def test_q_report_is_pinned(self, tmp_path):
+        # the derivation matrices of I^2 of the 3-chain, rendered densely
+        f = tmp_path / "chain3.poset"
+        f.write_text("elements: a b c\ncovers:\na b\nb c\n")
+        r = run_cli("derivations", str(f), "--n", "2", "--ring", "Q")
+        assert r.returncode == 0
+        assert r.stdout == (DATA / "derivations_chain3_n2_q.json").read_text()
 
     def test_higher_n_is_flagged_unverified(self, chain2):
         r = run_cli("derivations", chain2, "--n", "4")

@@ -36,11 +36,12 @@ def test_scrambled_table_and_idempotents_are_int_or_fraction(seed):
     algebra = scramble(AlgebraContext(DIAMOND, 3, Q), seed)
     scalars = [c for entry in algebra.sc.table.values() for _k, c in entry]
     _, elements, cover_lifts = reconstruct_poset(algebra)
-    scalars += [c for vec in elements + cover_lifts for c in vec]
+    scalars += [c for vec in elements + cover_lifts for c in vec.values()]
     # the quotient coordinates the idempotents are split in
     c1 = commutator_chain(algebra.sc)[0]
-    eye = [[Q.one() if i == j else Q.zero() for j in range(algebra.dim)] for i in range(algebra.dim)]
-    scalars += [c for vec in primitive_idempotents(quotient(algebra.sc, span(eye, Q), c1)) for c in vec]
+    eye = [{i: Q.one()} for i in range(algebra.dim)]
+    idems = primitive_idempotents(quotient(algebra.sc, span(eye, Q, algebra.dim), c1))
+    scalars += [c for vec in idems for c in vec.values()]
     assert scalars
     assert {type(c) for c in scalars} <= {int, Fraction}
 

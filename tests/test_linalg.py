@@ -5,17 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flagalg.linalg import (
+    LinearMap,
     SparseEchelon,
     hnf,
     hnf_with_transform,
     kernel,
-    mat_vec,
     span,
 )
-from flagalg.reconstruction import LinearMap
 from flagalg.rings import Integers, PrimeField, Rationals
 
 Q = Rationals()
@@ -23,6 +22,16 @@ Z = Integers()
 F2 = PrimeField(2)
 
 small_int = st.integers(-6, 6)
+
+
+def sparse(vector):
+    """The nonzero entries of a dense vector, in the library's vector format."""
+    return {i: x for i, x in enumerate(vector) if x}
+
+
+def from_rows(ring, rows):
+    """The LinearMap whose matrix has these dense rows."""
+    return LinearMap(ring, [sparse([r[j] for r in rows]) for j in range(len(rows))])
 
 
 def matrices(nrows, ncols, elems=small_int):
@@ -54,18 +63,18 @@ def det_fraction(rows):
 
 @given(matrices(3, 4))
 def test_span_idempotent(rows):
-    rows = [[Fraction(x) for x in r] for r in rows]
+    rows = [sparse([Fraction(x) for x in r]) for r in rows]
     s = span(rows, Q, ambient=4)
     assert span(s.basis, Q, ambient=4) == s
 
 
 @given(matrices(3, 4))
 def test_span_preserves_row_space(rows):
-    rows = [[Fraction(x) for x in r] for r in rows]
+    rows = [sparse([Fraction(x) for x in r]) for r in rows]
     s = span(rows, Q, ambient=4)
     # every generator lies in the span, and no basis row adds to the rank
     assert all(s.contains(r) for r in rows)
-    assert all(span(rows + [list(b)], Q, ambient=4).rank == s.rank for b in s.basis)
+    assert all(span(rows + [b], Q, ambient=4).rank == s.rank for b in s.basis)
 
 
 def test_hnf_determinant_preserved():
@@ -82,7 +91,7 @@ def test_hnf_transform_is_unimodular(rows):
     h, u = hnf_with_transform(rows)
     product = [[sum(a * b for a, b in zip(r, col)) for col in zip(*rows)] for r in u]
     assert product == [list(r) for r in h]
-    inv = LinearMap(Q, [[Fraction(x) for x in r] for r in u]).inverse()
+    inv = from_rows(Q, [[Fraction(x) for x in r] for r in u]).inverse()
     assert inv is not None
     assert all(x.denominator == 1 for r in inv.matrix for x in r)
 
@@ -101,24 +110,24 @@ def test_hnf_pivots_positive_and_reduced(rows):
 
 class TestSpan:
     def test_field_membership(self):
-        s = span([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], Q, ambient=2)
+        s = span([{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}], Q, ambient=2)
         assert s.rank == 1
-        assert s.contains([Fraction(3), Fraction(6)])
-        assert not s.contains([Fraction(1), Fraction(1)])
+        assert s.contains({0: Fraction(3), 1: Fraction(6)})
+        assert not s.contains({0: Fraction(1), 1: Fraction(1)})
 
     def test_integer_membership_respects_divisibility(self):
-        s = span([[2, 0], [0, 2]], Z, ambient=2)
-        assert s.contains([4, -2])
-        assert not s.contains([1, 0])
+        s = span([{0: 2}, {1: 2}], Z, ambient=2)
+        assert s.contains({0: 4, 1: -2})
+        assert not s.contains({0: 1})
 
     def test_span_is_canonical(self):
-        a = span([[1, 2, 3], [0, 1, 1]], Z, ambient=3)
-        b = span([[1, 3, 4], [0, 1, 1], [1, 2, 3]], Z, ambient=3)
+        a = span([sparse([1, 2, 3]), sparse([0, 1, 1])], Z, ambient=3)
+        b = span([sparse([1, 3, 4]), sparse([0, 1, 1]), sparse([1, 2, 3])], Z, ambient=3)
         assert a.basis == b.basis
 
     def test_subset(self):
-        big = span([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]], Q, ambient=2)
-        small = span([[Fraction(1), Fraction(1)]], Q, ambient=2)
+        big = span([{0: Fraction(1)}, {1: Fraction(1)}], Q, ambient=2)
+        small = span([{0: Fraction(1), 1: Fraction(1)}], Q, ambient=2)
         assert small.is_subset_of(big)
         assert not big.is_subset_of(small)
 
@@ -132,33 +141,34 @@ class TestSpan:
 @given(rows=matrices(3, 5))
 @settings(max_examples=40)
 def test_kernel_rank_nullity(ring, rows):
-    rows = [[ring.coerce(x) for x in r] for r in rows]
+    rows = [sparse([ring.coerce(x) for x in r]) for r in rows]
     ker = kernel(rows, 5, ring)
     assert ker.rank + span(rows, ring, ambient=5).rank == 5
     zero = ring.zero()
     for v in ker.basis:
         for r in rows:
             acc = zero
-            for x, y in zip(r, v):
-                acc = ring.add(acc, ring.mul(x, y))
+            for i, x in r.items():
+                acc = ring.add(acc, ring.mul(x, v.get(i, zero)))
             assert acc == zero
 
 
 @given(rows=matrices(3, 4))
+@example(rows=[[0] * 4] * 3)  # the zero matrix: the kernel is all of Z^4
 @settings(max_examples=40)
 def test_integer_kernel_is_saturated(rows):
-    ker = kernel(rows, 4, Z)
+    ker = kernel([sparse(r) for r in rows], 4, Z)
     for v in ker.basis:
-        assert all(sum(x * y for x, y in zip(r, v)) == 0 for r in rows)
-    qker = kernel([[Fraction(x) for x in r] for r in rows], 4, Q)
+        assert all(sum(x * v.get(i, 0) for i, x in enumerate(r)) == 0 for r in rows)
+    qker = kernel([sparse([Fraction(x) for x in r]) for r in rows], 4, Q)
     assert ker.rank == qker.rank
     # saturation: each rational kernel vector, scaled integral and primitive,
     # must already lie in the integer kernel lattice
     for v in qker.basis:
-        den = math.lcm(*(x.denominator for x in v))
-        w = [int(x * den) for x in v]
-        g = math.gcd(*w)
-        assert ker.contains([x // g for x in w])
+        den = math.lcm(*(x.denominator for x in v.values()))
+        w = {i: int(x * den) for i, x in v.items()}
+        g = math.gcd(*w.values())
+        assert ker.contains({i: x // g for i, x in w.items()})
 
 
 def test_echelon_tags_solve_consistent_and_inconsistent():
@@ -177,20 +187,39 @@ def test_echelon_tags_solve_consistent_and_inconsistent():
 
 
 def test_linear_map_inverse():
-    m = LinearMap(Q, [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]])
+    m = from_rows(Q, [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]])
     inv = m.inverse()
     ident = [m.apply(inv.column(j)) for j in range(2)]
-    assert ident == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    assert LinearMap(Q, [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]).inverse() is None
+    assert ident == [{0: Fraction(1)}, {1: Fraction(1)}]
+    assert from_rows(Q, [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]).inverse() is None
 
 
-def test_mat_vec():
-    assert mat_vec([[1, 2], [3, 4]], [1, 1], Z) == [3, 7]
+def test_linear_map_apply():
+    # the product of the matrix [[1, 2], [3, 4]] with the vector (1, 1)
+    assert from_rows(Z, [[1, 2], [3, 4]]).apply({0: 1, 1: 1}) == {0: 3, 1: 7}
 
 
 def test_submodule_contains_member():
     rng = random.Random(3)
-    vecs = [[Fraction(rng.randint(-4, 4)) for _ in range(4)] for _ in range(3)]
+    vecs = [sparse([Fraction(rng.randint(-4, 4)) for _ in range(4)]) for _ in range(3)]
     s = span(vecs, Q, ambient=4)
-    member = [sum(col) for col in zip(*s.basis)]
-    assert s.contains(member)
+    member = {}
+    for row in s.basis:
+        for i, x in row.items():
+            member[i] = member.get(i, 0) + x
+    assert s.contains({i: x for i, x in member.items() if x})
+
+
+@pytest.mark.parametrize("ring", [Q, Z], ids=lambda r: r.name)
+def test_index_outside_ambient_raises(ring):
+    # a sparse vector does not carry its length, so every index is checked
+    with pytest.raises(ValueError, match="outside range"):
+        span([{0: 1}, {3: 1}], ring, ambient=3)
+    with pytest.raises(ValueError, match="outside range"):
+        span([{-1: 1}], ring, ambient=3)
+    s = span([{0: 1}], ring, ambient=3)
+    with pytest.raises(ValueError, match="outside range"):
+        s.contains({3: 1})
+    with pytest.raises(ValueError, match="outside range"):
+        s.contains({0: 1, -1: 1})
+    assert s.contains({0: 2}) and not s.contains({2: 1})

@@ -55,6 +55,20 @@ class TestAxioms:
         inner()
 
 
+def test_rational_parse_refuses_exponent_notation():
+    # Fraction("1e800000") builds 10**800000, a 2.66-million-bit integer,
+    # from 8 characters
+    q = Rationals()
+    for s in ("1e800000", "1E5", "2.5e-3"):
+        with pytest.raises(ValueError, match="exponent"):
+            q.parse(s)
+    assert q.parse("3") == 3
+    assert q.parse("-1/3") == Fraction(-1, 3)
+    assert q.parse("1.5") == Fraction(3, 2)
+    for a in (Fraction(10**30, 7), 10**40, Fraction(-1, 10**25)):
+        assert "e" not in q.format(a).lower() and q.parse(q.format(a)) == a
+
+
 def test_rational_inverse():
     q = Rationals()
     assert q.inv(Fraction(3, 4)) == Fraction(4, 3)
