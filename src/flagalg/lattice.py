@@ -4,9 +4,7 @@ quotient algebras and primitive idempotent decomposition.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
+from . import poly
 from .algebra import AlgebraContext, StructureConstants, structure_constants
 from .linalg import SparseEchelon, Submodule, span, sub_scaled
 from .rings import CapabilityError
@@ -138,49 +136,6 @@ def quotient(sc: StructureConstants, u: Submodule, v: Submodule) -> QuotientAlge
     return QuotientAlgebra(sc, u, v)
 
 
-def _rational_roots(coeffs, ring):
-    """Distinct roots in the ring of the monic polynomial x^k + sum c_i x^i."""
-    k = len(coeffs)
-    if ring.is_field and hasattr(ring, "modulus"):
-        return [ring.coerce(a) for a in range(ring.modulus) if _poly_val(coeffs, ring.coerce(a), ring) == ring.zero()]
-    # rationals: clear denominators, apply the rational root theorem
-    denom = lcm(*(Fraction(c).denominator for c in coeffs))
-    ints = [int(Fraction(c) * denom) for c in coeffs] + [denom]  # degree-k coeff
-    roots = []
-    if _poly_val(coeffs, Fraction(0), ring) == 0:
-        roots.append(Fraction(0))
-    c0 = next((c for c in ints if c != 0), None)
-    lead = ints[-1]
-    # lowest nonzero coefficient bounds the numerators of nonzero roots
-    if c0 is not None:
-        for p in _divisors(abs(c0)):
-            for q in _divisors(abs(lead)):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if cand not in roots and _poly_val(coeffs, cand, ring) == 0:
-                        roots.append(cand)
-    return roots
-
-
-def _divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _poly_val(coeffs, x, ring):
-    # Horner on the monic polynomial [c_0, ..., c_{k-1}, 1]
-    val = ring.one()
-    for c in reversed(coeffs):
-        val = ring.add(ring.mul(val, x), c)
-    return val
-
-
 def primitive_idempotents(q):
     """Complete orthogonal primitive idempotent decomposition over a field.
 
@@ -224,7 +179,7 @@ def _split(sc, unit, t):
     k = len(coeffs)
     if k == 1:
         return [unit]
-    roots = _rational_roots(coeffs, ring)
+    roots = poly.roots(coeffs + [ring.one()], ring)
     if len(roots) != k:
         terms = [f"x^{k}"] + [f"({ring.format(c)})*x^{i}" for i, c in reversed(list(enumerate(coeffs))) if c]
         raise SplittingError(

@@ -119,6 +119,12 @@ def reconstruct_poset(a: AbstractAlgebra):
         raise ReconstructionError(f"cover closure is not a partial order: {exc}")
     if set(poset.covers) != set(covers):
         raise ReconstructionError("recovered cover relation is not its own cover set")
+    chains = len(poset.multichains(3))
+    if chains != d:
+        raise ReconstructionError(
+            f"the recovered poset has {chains} 3-multichain(s), so its third flag algebra has dim "
+            f"{chains}, not the table's {d}"
+        )
     return poset, elements, cover_lifts
 
 

@@ -15,31 +15,56 @@ class CapabilityError(Exception):
     """The requested computation is not supported over the chosen ring."""
 
 
+# Miller-Rabin on the first 13 primes as bases is proven correct below
+# this bound (Sorenson and Webster, Math. Comp. 86, 2017); larger moduli
+# are refused rather than answered without proof
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_MODULUS = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError for n >= MAX_MODULUS."""
+    if n >= MAX_MODULUS:
+        raise ValueError(f"modulus {n} is too large: primality is proven only below {MAX_MODULUS}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method on integers."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def is_prime_power(n: int) -> bool:
+    """n = q^k for a prime q: an integer k-th root, then a primality test."""
     if n < 2:
         return False
-    for p in range(2, n + 1):
-        if p * p > n:
-            return True  # n itself is prime
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
+    for k in range(1, n.bit_length()):
+        r = _iroot(n, k)
+        if r ** k == n and is_prime(r):
+            return True
     return False
 
 

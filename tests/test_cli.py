@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -97,7 +98,20 @@ class TestCheck:
         # F2^40 needs 39 binary splits: over F_2 an element has at most two eigenvalues
         f = tmp_path / "antichain40.poset"
         f.write_text("elements: " + " ".join(f"a{i}" for i in range(40)) + "\ncovers:\n")
+        start = time.perf_counter()
         r = run_cli("check", str(f), "--ring", "Fp:2")
+        assert time.perf_counter() - start < 10
+        assert r.returncode == 0
+        statuses = [t["status"] for t in json.loads(r.stdout)["posets"][0]["theorems"]]
+        assert statuses == ["pass"] * 9
+
+    def test_three_chain_over_a_31_bit_prime(self, tmp_path):
+        # a scan of all p residues per minimal polynomial ran past 60 s here
+        f = tmp_path / "chain3.poset"
+        f.write_text("elements: a b c\ncovers:\na b\nb c\n")
+        start = time.perf_counter()
+        r = run_cli("check", str(f), "--ring", "Fp:2147483647")
+        assert time.perf_counter() - start < 10
         assert r.returncode == 0
         statuses = [t["status"] for t in json.loads(r.stdout)["posets"][0]["theorems"]]
         assert statuses == ["pass"] * 9
@@ -173,6 +187,33 @@ class TestExitCodes:
         assert diagnostic.startswith("element quotient did not split")
         assert "minimal polynomial x^2 + (-2)*x^1 + (-7)*x^0" in diagnostic
         assert "retry budget" not in diagnostic
+
+    def test_table_of_the_wrong_dimension_fails(self, tmp_path):
+        # b_0, b_1 idempotent with b_0 b_1 = b_1: the element and cover
+        # stages see one element, whose third flag algebra has dim 1, not 2
+        f = tmp_path / "dim2.json"
+        f.write_text('{"dim":2,"ring":"Q","table":[[0,0,[[0,"1"]]],[1,1,[[1,"1"]]],[0,1,[[1,"1"]]]]}')
+        r = run_cli("reconstruct", str(f))
+        assert r.returncode == 1
+        report = json.loads(r.stdout)
+        assert report["status"] == "fail"
+        assert report["diagnostic"] == (
+            "the recovered poset has 1 3-multichain(s), so its third flag algebra has dim 1, not the table's 2"
+        )
+
+    @pytest.mark.parametrize("spec", ["Fp", "Zm"])
+    def test_oversized_modulus_is_refused(self, chain2, spec):
+        # 2^61 - 1 is proven prime at once; the bound is where the
+        # 13-base Miller-Rabin test stops being a proof
+        r = run_cli("check", chain2, "--ring", f"{spec}:2305843009213693951", timeout=60)
+        assert json.loads(r.stdout)["ring"] == f"{spec}:2305843009213693951"
+        r = run_cli("check", chain2, "--ring", f"{spec}:3317044064679887385961981", timeout=60)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == (
+            "error: modulus 3317044064679887385961981 is too large: primality is proven only below "
+            "3317044064679887385961981\n"
+        )
 
     def test_ring_mismatch_is_input_error(self, zero_table):
         assert run_cli("reconstruct", zero_table, "--ring", "Fp:2").returncode == 2

@@ -1,10 +1,16 @@
 """Ideal filtration, commutator chain, quotients, primitive idempotents."""
 
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from flagalg import poly
 from flagalg.algebra import AlgebraContext, StructureConstants, structure_constants
 from flagalg.lattice import (
     IdealError,
+    SplittingError,
+    _split,
     commutator_submodule,
     ideal_J,
     mul_submodule,
@@ -200,3 +206,77 @@ def test_identity_absent():
     sc = StructureConstants(2, Q, {})
     assert sc.identity("left") is None
     assert sc.identity("right") is None
+
+
+def from_roots(roots, ring, cofactor):
+    """cofactor * prod (x - r) over the ring, coefficients low to high."""
+    f = cofactor
+    for r in roots:
+        f = poly.mul(f, [ring.neg(r), ring.one()], ring)
+    return f
+
+
+def irreducible_quadratic(p):
+    """x^2 + x + 1 over F_2, else x^2 - n for the least non-residue n."""
+    if p == 2:
+        return [1, 1, 1]
+    n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    return [p - n, 0, 1]
+
+
+class TestRootFinders:
+    @pytest.mark.parametrize("p", [2, 3, 5, 262139])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_fp_finder_matches_residue_scan(self, p, data):
+        field = PrimeField(p)
+        roots = data.draw(st.sets(st.integers(0, p - 1), max_size=min(p, 6)))
+        cofactor = irreducible_quadratic(p) if data.draw(st.booleans()) else [1]
+        f = from_roots(sorted(roots), field, cofactor)
+        if p <= 5:
+            expected = [a for a in range(p) if poly.value(f, a) % p == 0]
+        else:
+            # the quadratic has no root, so these are all the roots a scan finds
+            expected = sorted(roots)
+        assert poly.roots(f, field) == expected
+
+    def test_fp_finder_matches_residue_scan_on_a_large_prime(self):
+        p = 262139
+        field = PrimeField(p)
+        f = from_roots([7, 1000, 262138], field, irreducible_quadratic(p))
+        assert poly.roots(f, field) == [a for a in range(p) if poly.value(f, a) % p == 0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        roots=st.lists(
+            st.tuples(st.integers(-12, 12), st.integers(1, 6), st.integers(1, 3)), max_size=5
+        ),
+        cofactor=st.sampled_from([[1], [-2, 0, 1], [1, 0, 1], [Fraction(-5, 3), 0, 1]]),
+    )
+    def test_q_finder_matches_brute_force(self, roots, cofactor):
+        # repeated roots and denominators up to 6: the cleared polynomial is
+        # not monic and not squarefree
+        f = from_roots([Q.coerce(Fraction(a, b)) for a, b, mult in roots for _ in range(mult)], Q, cofactor)
+        candidates = {Fraction(a, b) for a in range(-12, 13) for b in range(1, 7)}
+        expected = sorted(c for c in candidates if poly.value(f, c) == 0)
+        assert poly.roots(f, Q) == expected
+        assert all(type(r) in (int, Fraction) for r in poly.roots(f, Q))
+
+    def test_rational_roots_of_large_coefficients(self):
+        big = [10**40 + 7, -(10**40), Fraction(10**20, 3)]
+        f = from_roots(big + big[:1], Q, [-2, 0, 1])
+        assert poly.roots(f, Q) == sorted(big)
+
+    def test_missing_roots_are_counted_in_the_diagnostic(self):
+        # Q[x]/((x - 1)(x^2 - 2)) on 1, x, x^2, with x^3 = x^2 + 2x - 2 and
+        # x^4 = 3x^2 - 2: the probe x has one rational eigenvalue of three
+        x3, x4 = [(0, -2), (1, 2), (2, 1)], [(0, -2), (2, 3)]
+        table = {(0, 0): [(0, 1)], (0, 1): [(1, 1)], (1, 0): [(1, 1)], (0, 2): [(2, 1)], (2, 0): [(2, 1)]}
+        table |= {(1, 1): [(2, 1)], (1, 2): x3, (2, 1): x3, (2, 2): x4}
+        sc = StructureConstants(3, Q, table)
+        with pytest.raises(SplittingError) as err:
+            _split(sc, {0: 1}, {1: 1})
+        assert str(err.value) == (
+            "a probe element has minimal polynomial x^3 + (-1)*x^2 + (-2)*x^1 + (2)*x^0 with 1 distinct "
+            "root(s) in Q, not 3; the algebra is not a product of copies of Q"
+        )

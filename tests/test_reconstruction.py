@@ -2,6 +2,7 @@
 rigidity of the third flag algebra."""
 
 import random
+import time
 
 import pytest
 
@@ -186,3 +187,33 @@ class TestGuards:
         m[1] = list(m[0])
         with pytest.raises(ValueError, match="singular"):
             conjugate_table(ctx, from_rows(m))
+
+
+class TestRootSearchIsPolynomial:
+    """Tables whose probe eigenvalues are large: a root search by trial
+    division of the constant term ran past 60 s on each."""
+
+    @staticmethod
+    def reconstruct_timed(algebra):
+        start = time.perf_counter()
+        poset, _, _ = reconstruct_poset(algebra)
+        assert time.perf_counter() - start < 10
+        return poset
+
+    @pytest.mark.parametrize("m", [20, 40])
+    def test_diagonal_table(self, m):
+        # the first probe has eigenvalues 1..m, so its constant term is m!
+        sc = StructureConstants(m, Q, {(i, i): [(i, 1)] for i in range(m)})
+        poset = self.reconstruct_timed(AbstractAlgebra(sc))
+        assert poset.size == m and poset.covers == ()
+
+    @pytest.mark.parametrize("exponent", [16, 40])
+    def test_shears_of_large_size(self, exponent):
+        # e_(x,x,x) -> e_(x,x,x) + 10^exponent e_(x+1,x+1,x+1) makes the
+        # element quotient's probe eigenvalues that large
+        ctx = AlgebraContext(chain(3), 3, Q)
+        columns = [{k: 1} for k in range(ctx.dim)]
+        for x in range(2):
+            columns[ctx.index[(x, x, x)]][ctx.index[(x + 1, x + 1, x + 1)]] = 10**exponent
+        poset = self.reconstruct_timed(conjugate_table(ctx, LinearMap(Q, columns)))
+        assert poset.covers == ((0, 1), (1, 2))

@@ -11,6 +11,7 @@ from flagalg.rings import (
     ModularRing,
     PrimeField,
     Rationals,
+    MAX_MODULUS,
     is_prime,
     is_prime_power,
     ring_from_spec,
@@ -118,3 +119,31 @@ def test_primality_helpers():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     assert is_prime_power(27) and is_prime_power(32) and is_prime_power(5)
     assert not is_prime_power(1) and not is_prime_power(12) and not is_prime_power(36)
+
+
+def test_primality_matches_trial_division():
+    def by_trial_division(n):
+        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    def prime_power_by_trial_division(n):
+        q = next((d for d in range(2, n + 1) if n % d == 0), None)
+        while q and n % q == 0:
+            n //= q
+        return q is not None and n == 1
+
+    assert all(is_prime(n) == by_trial_division(n) for n in range(-2, 5000))
+    assert all(is_prime_power(n) == prime_power_by_trial_division(n) for n in range(-2, 3000))
+
+
+def test_primality_of_large_moduli():
+    # strong pseudoprimes to the bases 2..7, 2..23 and 2..37: each is caught
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+    assert is_prime_power(2**81) and is_prime_power(3**50) and is_prime_power((2**31 - 1) ** 2)
+    assert not is_prime_power(6**30) and not is_prime_power(2**61 + 1)
+    for n in (MAX_MODULUS, 2**89 - 1):
+        with pytest.raises(ValueError, match=f"proven only below {MAX_MODULUS}"):
+            is_prime(n)
+        with pytest.raises(ValueError, match=f"proven only below {MAX_MODULUS}"):
+            ring_from_spec(f"Zm:{n}")
