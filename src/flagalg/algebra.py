@@ -292,7 +292,15 @@ class StructureConstants:
     @classmethod
     def from_json(cls, text: str) -> "StructureConstants":
         """Parse the `to_json` format; any malformed table raises ValueError."""
-        data = json.loads(text)
+        # the decoder, and the repr in an error message, recurse once per
+        # nesting level
+        try:
+            return cls._from_data(json.loads(text))
+        except RecursionError:
+            raise ValueError("the JSON nests too deeply") from None
+
+    @classmethod
+    def _from_data(cls, data) -> "StructureConstants":
         if not isinstance(data, dict) or not {"dim", "ring", "table"} <= data.keys():
             raise ValueError('expected an object with keys "dim", "ring" and "table"')
         dim = data["dim"]

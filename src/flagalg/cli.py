@@ -213,7 +213,7 @@ def _parse_element(ctx, text):
                 raise ValueError(f"duplicate basis tuple {term[0]}")
             coeffs[idx] = ctx.ring.parse(term[1])
         return ctx.element(coeffs)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise CliError(f"malformed element (expected [[[x,y,z],\"scalar\"],...]): {exc}")
 
 

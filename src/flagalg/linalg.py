@@ -5,13 +5,14 @@ A vector is a dict from index to nonzero scalar, everywhere in the package
 Submodules of R^d are kept in a canonical basis (reduced row echelon form
 over fields, row-style Hermite normal form over Z), so equal submodules
 compare equal.  Every elimination over a field goes through SparseEchelon;
-Z goes through the Hermite normal form, the one place here where vectors
-are dense lists.  A LinearMap keeps its matrix as sparse columns.
+over Z, spans and kernel lattices go through the one sparse `hnf`.  A
+LinearMap keeps its matrix as sparse columns; only `LinearMap.matrix`
+builds dense lists, for reports.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import lcm
 
 from .rings import CapabilityError, Integers, Rationals, Ring
 
@@ -127,23 +128,19 @@ class SparseEchelon:
 
 
 def hnf(rows):
-    """Row-style Hermite normal form of integer rows.
+    """Row-style Hermite normal form of sparse integer rows, as sparse rows.
 
     Convention (fixed once for the whole package): pivots are positive,
     rows are sorted by pivot column, and entries above a pivot are reduced
     into [0, pivot).  Zero rows are dropped.
     """
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return []
-    width = len(work[0])
-    done = []  # list of (pivcol, row)
-    col = 0
-    while work and col < width:
-        live = [r for r in work if r[col] != 0]
-        if not live:
-            col += 1
-            continue
+    z = Integers()
+    work = [dict(r) for r in rows if r]
+    done = []  # the pivot rows, by pivot column
+    while work:
+        col = min(min(r) for r in work)
+        live = [r for r in work if col in r]
+        work = [r for r in work if col not in r]
         # gcd-reduce the column until a single nonzero entry remains
         while len(live) > 1:
             live.sort(key=lambda r: abs(r[col]))
@@ -151,70 +148,19 @@ def hnf(rows):
             for r in live[1:]:
                 q = r[col] // piv[col]
                 if q:
-                    for i in range(col, width):
-                        r[i] -= q * piv[i]
-            live = [r for r in live if r[col] != 0]
+                    sub_scaled(r, q, piv, z)
+            work += [r for r in live if r and col not in r]
+            live = [r for r in live if col in r]
         piv = live[0]
-        if piv[col] < 0:
-            piv = [-x for x in piv]
-        work = [r for r in work if r[col] == 0 and any(r)]
-        done.append((col, piv))
-        col += 1
+        done.append(piv if piv[col] > 0 else {c: -x for c, x in piv.items()})
     # reduce entries above each pivot
-    done.sort()
-    for i, (pc, prow) in enumerate(done):
-        for j in range(i):
-            r = done[j][1]
-            q = r[pc] // prow[pc]
+    for i, prow in enumerate(done):
+        pc = min(prow)
+        for r in done[:i]:
+            q = r.get(pc, 0) // prow[pc]
             if q:
-                for k in range(pc, len(prow)):
-                    r[k] -= q * prow[k]
-    return [tuple(r) for _, r in done]
-
-
-def hnf_with_transform(rows):
-    """Row HNF with a unimodular transform: returns (H, U) with U*A = H.
-
-    H has the same number of rows as the input (zero rows included, at the
-    bottom); U is square unimodular.
-    """
-    m = len(rows)
-    width = len(rows[0]) if m else 0
-    a = [list(r) for r in rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    row = 0
-    for col in range(width):
-        live = [i for i in range(row, m) if a[i][col] != 0]
-        if not live:
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda i: abs(a[i][col]))
-            p = live[0]
-            for i in live[1:]:
-                q = a[i][col] // a[p][col]
-                if q:
-                    for k in range(width):
-                        a[i][k] -= q * a[p][k]
-                    for k in range(m):
-                        u[i][k] -= q * u[p][k]
-            live = [i for i in live if a[i][col] != 0]
-        p = live[0]
-        a[row], a[p] = a[p], a[row]
-        u[row], u[p] = u[p], u[row]
-        if a[row][col] < 0:
-            a[row] = [-x for x in a[row]]
-            u[row] = [-x for x in u[row]]
-        for i in range(row):
-            q = a[i][col] // a[row][col]
-            if q:
-                for k in range(width):
-                    a[i][k] -= q * a[row][k]
-                for k in range(m):
-                    u[i][k] -= q * u[row][k]
-        row += 1
-        if row == m:
-            break
-    return [tuple(r) for r in a], [tuple(r) for r in u]
+                sub_scaled(r, q, prow, z)
+    return done
 
 
 class Submodule:
@@ -268,11 +214,6 @@ class Submodule:
         return all(other.contains(row) for row in self.basis)
 
 
-def _hnf_submodule(ring: Ring, ambient: int, dense_rows) -> Submodule:
-    rows = hnf(dense_rows)
-    return Submodule(ring, ambient, [{i: x for i, x in enumerate(r) if x} for r in rows])
-
-
 def span(vectors, ring: Ring, ambient: int | None = None) -> Submodule:
     """Canonical-form submodule of R^ambient generated by the given vectors."""
     _require_submodule_support(ring)
@@ -282,7 +223,7 @@ def span(vectors, ring: Ring, ambient: int | None = None) -> Submodule:
     for v in vectors:
         _check_bounds(v, ambient)
     if isinstance(ring, Integers):
-        return _hnf_submodule(ring, ambient, [[v.get(i, 0) for i in range(ambient)] for v in vectors])
+        return Submodule(ring, ambient, hnf(vectors))
     # reduced row echelon form: the stored rows by pivot column
     ech = SparseEchelon(ring)
     for v in vectors:
@@ -299,27 +240,26 @@ def kernel(rows, width: int, ring: Ring) -> Submodule:
     """
     _require_submodule_support(ring)
     # over Z the integer kernel depends only on the Q-row-space: reduce over
-    # Q (integers are Q scalars) to at most `width` independent rows, clear
-    # denominators, then read the kernel lattice off the transform of the
-    # transposed HNF.
+    # Q (integers are Q scalars) to at most `width` independent rows R and
+    # clear denominators.  The rows (x R^T, x) for x in Z^width span the
+    # lattice of [R^T | I]; its HNF rows that vanish on the first `rank`
+    # columns are the HNF of {(0, x) : R x = 0}, the kernel lattice.
     ech = SparseEchelon(ring if ring.is_field else Rationals())
     for r in rows:
         ech.add_row(r)
     if ring.is_field:
         return span(ech.kernel_basis(width), ring, width)
-    if ech.rank == width:
+    rank = ech.rank
+    if rank == width:
         return span([], ring, width)
-    reduced = []
-    for pcol in sorted(ech.pivots):
+    stacked = [{rank + i: 1} for i in range(width)]
+    for k, pcol in enumerate(sorted(ech.pivots)):
         row = ech.pivots[pcol]
-        denom = 1
-        for v in row.values():
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        reduced.append([int(row.get(i, 0) * denom) for i in range(width)])
-    # with no rows, every column of the transform is a kernel vector
-    transposed = [[r[i] for r in reduced] for i in range(width)]
-    h, u = hnf_with_transform(transposed)
-    return _hnf_submodule(ring, width, [u[i] for i in range(width) if not any(h[i])])
+        denom = lcm(*(v.denominator for v in row.values()))
+        for i, v in row.items():
+            stacked[i][k] = int(v * denom)
+    basis = [{c - rank: x for c, x in r.items()} for r in hnf(stacked) if min(r) >= rank]
+    return Submodule(ring, width, basis)
 
 
 class LinearMap:

@@ -89,9 +89,6 @@ class Poset:
     def le(self, x, y) -> bool:
         return self.leq[x][y]
 
-    def lt(self, x, y) -> bool:
-        return x != y and self.leq[x][y]
-
     def interval(self, x, y):
         """The set {z : x <= z <= y}; x <= y required."""
         if not self.leq[x][y]:

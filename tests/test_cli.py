@@ -277,6 +277,30 @@ class TestExitCodes:
         assert r.stderr.startswith("error: malformed element") and r.stderr.count("\n") == 1
         assert "exponent notation" in r.stderr
 
+    def test_deeply_nested_table_is_input_error(self, tmp_path):
+        # the JSON decoder recurses once per level and gives up near 1,000
+        f = tmp_path / "deep.json"
+        f.write_text("[" * 5000)
+        r = run_cli("reconstruct", str(f))
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: malformed structure constants JSON") and r.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("side", ["--lhs", "--rhs"])
+    @pytest.mark.parametrize(
+        "element",
+        ["[" * 5000 + "]" * 5000, '{"a":' * 5000 + "1" + "}" * 5000],
+        ids=["arrays", "objects"],
+    )
+    def test_deeply_nested_element_is_input_error(self, chain2, side, element):
+        other = "--rhs" if side == "--lhs" else "--lhs"
+        r = run_cli("multiply", chain2, side, element, other, "[]")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: malformed element") and r.stderr.count("\n") == 1
+
     def test_malformed_poset(self, tmp_path):
         bad = tmp_path / "bad.poset"
         bad.write_text("covers:\na b\n")
