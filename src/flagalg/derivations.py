@@ -15,8 +15,13 @@ from .rings import CapabilityError
 
 
 def leibniz_system(ctx: AlgebraContext):
-    """Sparse rows, over the d^2 unknowns, of the exact linear system whose
-    solution space is Der(I^n)."""
+    """Sparse rows, over the d^2 unknowns, of the system above.
+
+    Row (i, j, k) is kept only for k in the supports of b_i b_j, A b_j and
+    b_i A; zero and repeated rows are dropped.  A left-out row says that
+    D(b_i b_j) has no b_k term, so the kernel contains Der(I^n), and
+    `check_derivation` checks each kernel map against the full rule.
+    """
     sc = structure_constants(ctx)
     ring = ctx.ring
     zero = ring.zero()

@@ -173,34 +173,46 @@ def primitive_idempotents(q):
 
 def _split(sc, unit, t):
     """The Lagrange idempotents of the eigenvalues of unit*t, which sum to
-    the idempotent `unit`; [unit] when unit*t is a multiple of it."""
+    the idempotent `unit`; [unit] when unit*t is a multiple of it.
+
+    The powers unit*t^0, unit*t^1, ... go into one echelon, row i tagged i,
+    until the first dependence, whose tags give the minimal polynomial f of
+    t in the component.  For a root lam, q = f / (x - lam) is a combination
+    of the kept powers, and q(t) / q(lam) is the Lagrange idempotent of lam;
+    q(lam) = f'(lam) is nonzero because the roots are distinct.
+    """
     ring = sc.ring
-    coeffs = _min_poly_component(sc, unit, t, ring)
-    k = len(coeffs)
+    zero, one = ring.zero(), ring.one()
+    ech = SparseEchelon(ring)
+    powers = [unit]
+    while True:
+        residue, coords = ech.reduce(powers[-1])
+        if not residue:
+            break
+        ech.add_row(residue, {i: ring.neg(c) for i, c in coords.items()} | {len(powers) - 1: one})
+        powers.append(sc.multiply(powers[-1], t))
+    # each accepted power raises the rank, so there are k <= dim of them,
+    # and unit*t^k = sum coords[i] unit*t^i
+    k = len(powers) - 1
+    f = [ring.neg(coords.get(i, zero)) for i in range(k)] + [one]
     if k == 1:
         return [unit]
-    roots = poly.roots(coeffs + [ring.one()], ring)
+    roots = poly.roots(f, ring)
     if len(roots) != k:
-        terms = [f"x^{k}"] + [f"({ring.format(c)})*x^{i}" for i, c in reversed(list(enumerate(coeffs))) if c]
+        terms = [f"x^{k}"] + [f"({ring.format(c)})*x^{i}" for i, c in reversed(list(enumerate(f[:k]))) if c]
         raise SplittingError(
             f"a probe element has minimal polynomial {' + '.join(terms)} with {len(roots)} distinct "
             f"root(s) in {ring.name}, not {k}; the algebra is not a product of copies of {ring.name}"
         )
-    one = ring.one()
     idems = []
     total = {}
     for lam in roots:
-        # u = unit * prod_(mu != lam) (t - mu) / (lam - mu)
-        u = unit
-        denom = one
-        for mu in roots:
-            if mu != lam:
-                shifted = dict(t)
-                sub_scaled(shifted, mu, unit, ring)
-                u = sc.multiply(u, shifted)
-                denom = ring.mul(denom, ring.sub(lam, mu))
-        dinv = ring.inv(denom)
-        u = {i: ring.mul(dinv, x) for i, x in u.items()}
+        q = poly.quo(f, [ring.neg(lam), one], ring)
+        u = {}
+        for c, power in zip(q, powers):
+            sub_scaled(u, ring.neg(c), power, ring)
+        qinv = ring.inv(ring.coerce(poly.value(q, lam)))
+        u = {i: ring.mul(qinv, x) for i, x in u.items()}
         if sc.multiply(u, u) != u:
             raise SplittingError("a Lagrange element does not square to itself")
         idems.append(u)
@@ -208,22 +220,3 @@ def _split(sc, unit, t):
     if total != unit:
         raise SplittingError("the Lagrange idempotents do not sum to the component identity")
     return idems
-
-
-def _min_poly_component(sc, unit, t, ring):
-    """Monic minimal polynomial of t in the component with identity `unit`.
-
-    Returns the lower coefficients [c_0, ..., c_{k-1}] of
-    x^k + c_{k-1} x^{k-1} + ... + c_0.
-    """
-    zero = ring.zero()
-    ech = SparseEchelon(ring)  # powers t^0 .. t^(k-1), row i tagged i
-    power = unit
-    for k in range(sc.dim + 2):
-        residue, coords = ech.reduce(power)
-        if not residue:
-            # t^k = sum coords[i] t^i
-            return [ring.neg(coords.get(i, zero)) for i in range(k)]
-        ech.add_row(residue, {i: ring.neg(c) for i, c in coords.items()} | {k: ring.one()})
-        power = sc.multiply(power, t)
-    raise SplittingError("minimal polynomial search did not terminate")

@@ -1,5 +1,6 @@
 """Command line harness: exit codes, determinism, report shapes."""
 
+import itertools
 import json
 import pathlib
 import subprocess
@@ -10,11 +11,16 @@ from fractions import Fraction
 import pytest
 
 from flagalg import cli, derivations, reconstruction, suites
-from flagalg.algebra import AlgebraContext, structure_constants
+from flagalg.algebra import AlgebraContext, StructureConstants, structure_constants
 from flagalg.lattice import SplittingError
 from flagalg.linalg import span
 from flagalg.posets import Poset, chain, enumerate_posets
-from flagalg.reconstruction import ReconstructionError, scramble
+from flagalg.reconstruction import (
+    AbstractAlgebra,
+    ReconstructionError,
+    enumerate_isomorphisms_exhaustive,
+    scramble,
+)
 from flagalg.rings import PrimeField, Rationals, ring_from_spec
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -348,6 +354,37 @@ class TestReconstruct:
         r = run_cli("reconstruct", str(f), "--ring", "Q")
         assert r.returncode == 0
         assert r.stdout == (DATA / "reconstruct_diamond_q_seed0.json").read_text()
+
+    def test_single_entry_faults(self, tmp_path, capsys):
+        # flip each of the 64 structure constants c_ij^k of I^3(2-chain) over
+        # F_2: reconstruct exits 1 with a one-line stage diagnostic, or 0
+        ctx = AlgebraContext(chain(2), 3, PrimeField(2))
+        plain = structure_constants(ctx).table
+        f = tmp_path / "flipped.json"
+        uncertified = []
+        for i, j, k in itertools.product(range(4), repeat=3):
+            entry = dict(plain.get((i, j), []))
+            entry[k] = 1 - entry.get(k, 0)
+            table = {key: v for key, v in plain.items() if key != (i, j)}
+            if any(entry.values()):
+                table[(i, j)] = sorted((col, x) for col, x in entry.items() if x)
+            flipped = StructureConstants(4, PrimeField(2), table)
+            f.write_text(flipped.to_json())
+            code = cli.main(["reconstruct", str(f), "--ring", "Fp:2"])
+            out, err = capsys.readouterr()
+            report = json.loads(out)
+            if code == 1:
+                diagnostic = report["diagnostic"]
+                assert report["status"] == "fail" and diagnostic and "\n" not in diagnostic
+                assert err == f"reconstruct: FAILED: {diagnostic}\n"
+            else:
+                assert code == 0
+                assert (report["size"], report["covers"]) == (2, [[0, 1]])
+                if not enumerate_isomorphisms_exhaustive(AbstractAlgebra(flipped), ctx):
+                    uncertified.append((i, j, k))
+        # reconstruct does not certify its answer: these flipped tables are
+        # not isomorphic to I^3(2-chain), yet it reports the 2-chain
+        assert uncertified == [(i, j, k) for i in (0, 3) for j in (0, 3) for k in (1, 2)]
 
 
 class TestDerivations:

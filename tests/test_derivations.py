@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from flagalg.algebra import AlgebraContext, convolve
+from flagalg.algebra import AlgebraContext, convolve, structure_constants
 from flagalg.derivations import check_derivation, derivation_basis, leibniz_system
-from flagalg.linalg import LinearMap, span
+from flagalg.linalg import LinearMap, kernel, span
 from flagalg.posets import Poset, antichain, chain, enumerate_posets
 from flagalg.rings import Integers, PrimeField, Rationals
 
@@ -102,3 +102,29 @@ class TestSystemShape:
     def test_antichain_n2_has_no_derivations(self):
         # product of copies of R: all derivations vanish even classically
         assert derivation_basis(AlgebraContext(antichain(3), 2, Q)) == []
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_kept_rows_have_the_kernel_of_the_full_system(self, n):
+        # leibniz_system keeps row (i, j, k) only for k in the supports of
+        # b_i b_j, A b_j and b_i A; the full system has every row (i, j, k)
+        # of the module docstring's three-term equation (dims up to 35)
+        for m in range(1, 5):
+            for p in enumerate_posets(m):
+                ctx = AlgebraContext(p, n, Q)
+                d = ctx.dim
+                full = {}
+
+                def add(i, j, k, col, c):
+                    row = full.setdefault((i, j, k), {})
+                    row[col] = Q.add(row.get(col, Q.zero()), c)
+
+                for (i, j), entry in structure_constants(ctx).table.items():
+                    for k, c in entry:
+                        for x in range(d):
+                            # c_ij^k D[x][k] in row (i, j, x); -c_ij^k D[i][x]
+                            # in row (x, j, k); -c_ij^k D[j][x] in row (i, x, k)
+                            add(i, j, x, x * d + k, c)
+                            add(x, j, k, i * d + x, Q.neg(c))
+                            add(i, x, k, j * d + x, Q.neg(c))
+                rows = [{col: c for col, c in row.items() if c} for row in full.values()]
+                assert kernel(leibniz_system(ctx), d * d, Q) == kernel(rows, d * d, Q), (p, n)

@@ -1,5 +1,6 @@
 """Ideal filtration, commutator chain, quotients, primitive idempotents."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from flagalg.lattice import (
     quotient,
     z_chain,
 )
-from flagalg.linalg import span
+from flagalg.linalg import LinearMap, span
 from flagalg.posets import Poset, antichain, chain, enumerate_posets
 from flagalg.rings import PrimeField, Rationals
 
@@ -197,6 +198,29 @@ class TestPrimitiveIdempotents:
         c1, _, _ = z_chain(ctx)
         q = quotient(structure_constants(ctx), ideal_J(ctx, 0), c1)
         assert len(primitive_idempotents(q)) == 3
+
+    @pytest.mark.parametrize("field", [Q, PrimeField(3), PrimeField(5), PrimeField(262139)])
+    def test_conjugated_split_algebra_splits_into_the_preimages(self, field):
+        # F^k in the basis T b_0, ..., T b_(k-1) for a seeded invertible T:
+        # the idempotents are T^-1 e_m, not unit vectors, and over F_3 the
+        # probes' eigenvalues often collide
+        zero, one = field.zero(), field.one()
+        for seed in range(40):
+            rng = random.Random(seed)
+            k = 1 + seed % 6
+            ech = None
+            while ech is None:
+                columns = [{m: field.coerce(rng.randint(-3, 3)) for m in range(k)} for _ in range(k)]
+                columns = [{m: x for m, x in col.items() if x} for col in columns]
+                ech = LinearMap(field, columns).column_echelon()
+            table = {}
+            for i, a in enumerate(columns):
+                for j, b in enumerate(columns):
+                    product = {m: field.mul(a[m], b[m]) for m in a.keys() & b.keys()}
+                    table[(i, j)] = sorted(ech.reduce(product)[1].items())
+            expected = [ech.reduce({m: one})[1] for m in range(k)]
+            expected.sort(key=lambda e: [e.get(i, zero) for i in range(k)])
+            assert primitive_idempotents(StructureConstants(k, field, table)) == expected, seed
 
 
 def test_identity_absent():
