@@ -52,6 +52,8 @@ def _load_poset(path):
 
 
 def cmd_check(args) -> int:
+    if bool(args.poset) == (args.all_up_to is not None):
+        raise CliError("check: give exactly one of a poset file or --all-up-to")
     ring = ring_from_spec(args.ring)
     if args.poset:
         posets = [( os.path.basename(args.poset), _load_poset(args.poset) )]
@@ -304,9 +306,6 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "check" and bool(args.poset) == (args.all_up_to is not None):
-        print("check: give exactly one of a poset file or --all-up-to", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     try:
         return args.func(args)
     except (CliError, CapabilityError, ValueError) as exc:

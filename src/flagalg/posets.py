@@ -8,8 +8,6 @@ table on the Poset.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
-from operator import itemgetter
 
 
 class PosetError(Exception):
@@ -167,30 +165,43 @@ class Poset:
         return (up, down, self.height(x))
 
     def canonical_key(self):
-        """Isomorphism-invariant canonical encoding (exact, for m <= 7): the
-        least integer with bit i*m + j = leq[perm[i]][perm[j]] over all perms."""
-        m = self.size
-        if m < 2:
-            return (m, m)  # the empty relation, or the single bit 0 <= 0
-        flat = tuple(v for row in self.leq for v in row)
-        getters = _key_getters(m) if m <= MAX_ENUM_SIZE else _iter_key_getters(m)
-        best = min(getter(flat) for getter in getters)
-        return (m, int("".join("1" if v else "0" for v in best), 2))
+        """Isomorphism-invariant canonical encoding: the least integer with
+        bit i*m + j = leq[perm[i]][perm[j]] over all perms."""
+        return (self.size, _canonical_key(self.size, [_mask(row) for row in self.leq]))
 
 
-def _iter_key_getters(m: int):
-    """One itemgetter per permutation of range(m), m >= 2, reading the flat
-    order matrix at perm[i]*m + perm[j] for bit i*m + j from the most
-    significant bit down, so the least tuple read is the least integer."""
-    for perm in permutations(range(m)):
-        yield itemgetter(*(perm[k // m] * m + perm[k % m] for k in reversed(range(m * m))))
+def _mask(row):
+    """The bitmask of the True entries of a row."""
+    return sum(1 << y for y, v in enumerate(row) if v)
 
 
-@lru_cache(maxsize=None)
-def _key_getters(m: int):
-    """The getters of an enumerated size, m <= MAX_ENUM_SIZE, kept for the
-    process; a larger m would keep m! of them."""
-    return tuple(_iter_key_getters(m))
+def _canonical_key(m: int, up):
+    """The least key of the order with up-sets up[x] (bitmasks), filled row
+    by row from the most significant, i = m-1, down.
+
+    Row i reads perm[i]'s relations to the elements already placed (first
+    placed most significant), then its own bit, then 0s exactly when perm[i]
+    is maximal in the rest; an element above x reads no more than x, so only
+    maximal elements can give the least row. Every state reaching the least
+    rows is kept, and states with the same rest and readings have the same
+    future, so the set dedupes them. The rest is an order ideal: a chain
+    keeps one state per level, an antichain 2^m states in all."""
+    key = 0
+    states = {((1 << m) - 1, (0,) * m)}
+    for i in reversed(range(m)):
+        best, kept = 1 << m, set()  # above every reading
+        for rest, reads in states:
+            for x in range(m):
+                if up[x] & rest != 1 << x or reads[x] > best:
+                    continue  # x is placed, not maximal in the rest, or reads more
+                if reads[x] < best:
+                    best, kept = reads[x], set()
+                left = rest & ~(1 << x)
+                after = tuple(r << 1 | up[y] >> x & 1 if left >> y & 1 else 0 for y, r in enumerate(reads))
+                kept.add((left, after))
+        key |= (best << (i + 1) | 1 << i) << (i * m)
+        states = kept
+    return key
 
 
 def parse_poset(text: str) -> Poset:
@@ -308,7 +319,8 @@ def enumerate_posets(m: int):
     Representatives are built by extending each smaller representative with a
     new maximal element over every down-closed subset, then deduplicating by
     canonical form.  Every poset arises this way since removing a maximal
-    element of a size-m poset leaves a size-(m-1) poset.
+    element of a size-m poset leaves a size-(m-1) poset.  Keys are read off
+    up-set bitmasks; only the first candidate of a class becomes a Poset.
     """
     if not 1 <= m <= MAX_ENUM_SIZE:
         raise ValueError(f"poset enumeration supports 1 <= m <= {MAX_ENUM_SIZE}")
@@ -317,23 +329,15 @@ def enumerate_posets(m: int):
     seen = {}
     for base in enumerate_posets(m - 1):
         k = base.size
+        up = [_mask(row) for row in base.leq]
         for mask in range(1 << k):
-            down = [x for x in range(k) if mask >> x & 1]
-            dset = set(down)
-            if any(
-                not p.issubset(dset)
-                for p in ({y for y in range(k) if base.leq[y][x]} for x in down)
-            ):
+            if any(up[x] & mask for x in range(k) if not mask >> x & 1):
                 continue  # not down-closed
-            leq = [list(row) + [False] for row in base.leq]
-            leq.append([False] * k + [True])
-            for x in down:
-                leq[x][k] = True
-            cand = Poset(leq)
-            key = cand.canonical_key()
+            key = _canonical_key(m, [u | (mask >> x & 1) << k for x, u in enumerate(up)] + [1 << k])
             if key not in seen:
-                seen[key] = cand
-    return tuple(seen[k] for k in sorted(seen))
+                leq = [list(row) + [bool(mask >> x & 1)] for x, row in enumerate(base.leq)]
+                seen[key] = Poset(leq + [[False] * k + [True]])
+    return tuple(seen[key] for key in sorted(seen))
 
 
 def chain(m: int) -> Poset:

@@ -307,6 +307,14 @@ class TestExitCodes:
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("error: malformed element") and r.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("with_file", [False, True], ids=["neither", "both"])
+    def test_check_needs_exactly_one_source(self, chain2, capsys, with_file):
+        argv = ["check", chain2, "--all-up-to", "2"] if with_file else ["check"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: check: give exactly one of a poset file or --all-up-to\n"
+
     def test_malformed_poset(self, tmp_path):
         bad = tmp_path / "bad.poset"
         bad.write_text("covers:\na b\n")

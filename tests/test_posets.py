@@ -3,11 +3,16 @@
 The enumeration counts are cross-checked against two independent oracles:
 a brute-force scan over all reflexive relations (small sizes) and a labeled
 insertion count compared through the orbit-counting identity sum(m!/|Aut|).
+The canonical key is checked against the minimum over all m! relabellings.
 """
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
+from functools import lru_cache
+from operator import itemgetter
 
 import pytest
 
@@ -49,6 +54,32 @@ def brute_force_poset_keys(m):
         if ok:
             keys.add(Poset(leq).canonical_key())
     return keys
+
+
+@lru_cache(maxsize=None)
+def key_getters(m):
+    """One itemgetter per permutation of range(m), m >= 2, reading the flat
+    order matrix at perm[i]*m + perm[j] for bit i*m + j from the most
+    significant bit down, so the least tuple read is the least integer."""
+    return tuple(
+        itemgetter(*(perm[k // m] * m + perm[k % m] for k in reversed(range(m * m))))
+        for perm in itertools.permutations(range(m))
+    )
+
+
+def brute_force_canonical_key(p):
+    """The canonical key as the minimum over all m! relabelled matrices,
+    m >= 2."""
+    m = p.size
+    flat = tuple(v for row in p.leq for v in row)
+    best = min(getter(flat) for getter in key_getters(m))
+    return (m, int("".join("1" if v else "0" for v in best), 2))
+
+
+def relabelled(p, rng):
+    perm = list(range(p.size))
+    rng.shuffle(perm)
+    return p.relabel(perm)
 
 
 def count_labeled_posets(m):
@@ -218,6 +249,35 @@ class TestIsomorphism:
                     )
                     assert q.canonical_key() == (m, best)
 
+    def test_canonical_key_matches_the_brute_force_on_size_6(self):
+        rng = random.Random(6)
+        for p in enumerate_posets(6):
+            q = relabelled(p, rng)
+            assert q.canonical_key() == brute_force_canonical_key(q)
+
+    def test_canonical_key_matches_the_brute_force_on_random_size_7(self):
+        # each pair i < j related with probability 1/3, closed, relabelled
+        rng = random.Random(7)
+        for _ in range(20):
+            pairs = [(i, j) for i in range(7) for j in range(i + 1, 7) if rng.random() < 1 / 3]
+            q = relabelled(Poset.from_covers(7, pairs), rng)
+            assert q.canonical_key() == brute_force_canonical_key(q)
+
+    @pytest.mark.parametrize(
+        "poset,key",
+        [
+            (chain(10), sum(1 << (i * 10 + j) for i in range(10) for j in range(i, 10))),
+            (antichain(10), sum(1 << (i * 11) for i in range(10))),
+        ],
+        ids=["chain", "antichain"],
+    )
+    def test_canonical_key_of_size_10_without_permutations(self, poset, key):
+        # 10! = 3,628,800 relabellings: a search over permutations would not
+        # finish in a test's time
+        rng = random.Random(10)
+        for _ in range(3):
+            assert relabelled(poset, rng).canonical_key() == (10, key)
+
 
 class TestEnumeration:
     def test_counts(self):
@@ -246,6 +306,19 @@ class TestEnumeration:
         reps = enumerate_posets(5)
         for a, b in itertools.combinations(reps, 2):
             assert find_isomorphism(a, b) is None
+
+    @pytest.mark.parametrize(
+        "m,digest",
+        [
+            (5, "5c08c6fefcc462f57ac07c6297f6bc340dddbe7a1b1eb3c998722d88ccf73ad4"),
+            (6, "7062349b0a7c4420f710ad35c5ba96c814673a53e3b151acece94165f18b48e7"),
+        ],
+    )
+    def test_representatives_are_pinned(self, m, digest):
+        # the representatives, their names and their order reach the
+        # `enumerate-posets` and `check --all-up-to` reports
+        text = json.dumps([format_poset(p) for p in enumerate_posets(m)])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_size_limit(self):
         with pytest.raises(ValueError):
