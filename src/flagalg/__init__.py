@@ -4,10 +4,8 @@ __version__ = "0.1.0"
 
 from .algebra import (
     AlgebraContext,
-    FlagElement,
     StructureConstants,
     basis_product,
-    commutator,
     convolve,
     power_assoc_witness,
     structure_constants,
@@ -47,7 +45,6 @@ __all__ = [
     "AlgebraContext",
     "AbstractAlgebra",
     "CapabilityError",
-    "FlagElement",
     "Integers",
     "LinearMap",
     "ModularRing",
@@ -62,7 +59,6 @@ __all__ = [
     "basis_product",
     "chain",
     "check_derivation",
-    "commutator",
     "commutator_submodule",
     "convolve",
     "decide_isomorphism",

@@ -1,7 +1,8 @@
 """The partial flag incidence algebra I^n(P,R).
 
-Elements are sparse functions on the multichain basis; the product is the
-interval convolution (for f, g and a multichain x = (x_1..x_n):
+Elements are sparse dicts, basis index -> nonzero scalar, like every vector
+of the package; the product is the interval convolution (for f, g and a
+multichain x = (x_1..x_n):
 (fg)(x) = sum over y in the interval product of x of f(x_1,y) g(y,x_n)).
 The closed-form basis product and the anonymous structure-constants table
 are derived from it.
@@ -14,10 +15,6 @@ import json
 from .linalg import SparseEchelon, sub_scaled
 from .posets import Poset
 from .rings import Ring, ring_from_spec
-
-
-class ContextMismatchError(Exception):
-    pass
 
 
 class AlgebraContext:
@@ -64,19 +61,18 @@ class AlgebraContext:
         return tuple(pairs)
 
     def oracle_table(self):
-        """{(i, j): convolve(e_i, e_j)} for every basis pair in (i, j) order,
-        built once from the convolution alone: an independent check of
+        """{(i, j): convolve(self, e_i, e_j)} for every basis pair in (i, j)
+        order, built once from the convolution alone: an independent check of
         `basis_product` and the structure constants."""
         if self._oracle is None:
             one = self.ring.one()
-            basis = [FlagElement(self, {i: one}) for i in range(self.dim)]
+            basis = [{i: one} for i in range(self.dim)]
             self._oracle = {
-                (i, j): convolve(a, b) for i, a in enumerate(basis) for j, b in enumerate(basis)
+                (i, j): convolve(self, a, b)
+                for i, a in enumerate(basis)
+                for j, b in enumerate(basis)
             }
         return self._oracle
-
-    def element(self, coeffs=None) -> "FlagElement":
-        return FlagElement(self, coeffs or {})
 
     def index_of(self, t) -> int:
         """Basis index of the tuple t; ValueError unless it is a basis tuple."""
@@ -85,109 +81,35 @@ class AlgebraContext:
             raise ValueError(f"{t} is not a weakly increasing tuple (multichain) of this poset")
         return self.index[t]
 
-    def basis_element(self, t) -> "FlagElement":
+    def basis_element(self, t) -> dict:
         """The indicator basis element e_x."""
-        return FlagElement(self, {self.index_of(t): self.ring.one()})
+        return {self.index_of(t): self.ring.one()}
 
     def __repr__(self):
         return f"AlgebraContext(|P|={self.poset.size}, n={self.n}, ring={self.ring.name}, dim={self.dim})"
 
 
-class FlagElement:
-    """A sparse element of I^n(P,R): basis index -> nonzero scalar."""
-
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx: AlgebraContext, coeffs: dict):
-        zero = ctx.ring.zero()
-        self.ctx = ctx
-        self.coeffs = {i: v for i, v in coeffs.items() if v != zero}
-
-    def _check(self, other):
-        if self.ctx is not other.ctx:
-            raise ContextMismatchError("elements belong to different contexts")
-
-    def __add__(self, other):
-        self._check(other)
-        ring = self.ctx.ring
-        out = dict(self.coeffs)
-        for i, v in other.coeffs.items():
-            out[i] = ring.add(out.get(i, ring.zero()), v)
-        return FlagElement(self.ctx, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        ring = self.ctx.ring
-        out = dict(self.coeffs)
-        for i, v in other.coeffs.items():
-            out[i] = ring.sub(out.get(i, ring.zero()), v)
-        return FlagElement(self.ctx, out)
-
-    def __neg__(self):
-        ring = self.ctx.ring
-        return FlagElement(self.ctx, {i: ring.neg(v) for i, v in self.coeffs.items()})
-
-    def scale(self, scalar):
-        ring = self.ctx.ring
-        return FlagElement(self.ctx, {i: ring.mul(scalar, v) for i, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        return convolve(self, other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FlagElement)
-            and self.ctx is other.ctx
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((id(self.ctx), tuple(sorted(self.coeffs.items()))))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __call__(self, t):
-        """Evaluate at a multichain tuple."""
-        return self.coeffs.get(self.ctx.index[tuple(t)], self.ctx.ring.zero())
-
-    def __repr__(self):
-        ctx = self.ctx
-        terms = [
-            f"{ctx.ring.format(v)}*e{ctx.basis[i]}"
-            for i, v in sorted(self.coeffs.items())
-        ]
-        return " + ".join(terms) if terms else "0"
-
-
-def convolve(f: FlagElement, g: FlagElement) -> FlagElement:
-    """The defining pointwise convolution product."""
-    f._check(g)
-    ctx = f.ctx
+def convolve(ctx: AlgebraContext, f: dict, g: dict) -> dict:
+    """The defining pointwise convolution product of two elements of ctx."""
     ring = ctx.ring
     zero = ring.zero()
     out = {}
-    fc, gc = f.coeffs, g.coeffs
     for k, pairs in enumerate(ctx._conv_pairs):
         acc = zero
         for (li, ri) in pairs:
-            a = fc.get(li)
+            a = f.get(li)
             if a is None:
                 continue
-            b = gc.get(ri)
+            b = g.get(ri)
             if b is None:
                 continue
             acc = ring.add(acc, ring.mul(a, b))
         if acc != zero:
             out[k] = acc
-    return FlagElement(ctx, out)
+    return out
 
 
-def commutator(f: FlagElement, g: FlagElement) -> FlagElement:
-    return convolve(f, g) - convolve(g, f)
-
-
-def basis_product(ctx: AlgebraContext, x, y) -> FlagElement:
+def basis_product(ctx: AlgebraContext, x, y) -> dict:
     """Closed-form product e_x e_y.
 
     For n >= 3: zero unless the trailing part of x equals the leading part
@@ -199,21 +121,15 @@ def basis_product(ctx: AlgebraContext, x, y) -> FlagElement:
     n = ctx.n
     u, v = x[1:], y[:-1]
     if u != v:
-        return ctx.element()
-    one = ctx.ring.one()
-    ring = ctx.ring
-    if n == 2:
-        return ctx.basis_element((x[0], y[1]))
+        return {}
     p = ctx.poset
-    out = {}
-    mids = [[]]
+    mids = [()]
     for i in range(n - 2):
         iv = sorted(p.interval(u[i], u[i + 1]))
-        mids = [m + [z] for m in mids for z in iv]
-    for mid in mids:
-        idx = ctx.index[(x[0],) + tuple(mid) + (y[n - 1],)]
-        out[idx] = ring.add(out.get(idx, ring.zero()), one)
-    return FlagElement(ctx, out)
+        mids = [m + (z,) for m in mids for z in iv]
+    # distinct middles give distinct basis tuples: every coefficient is one
+    one = ctx.ring.one()
+    return {ctx.index[(x[0],) + mid + (y[n - 1],)]: one for mid in mids}
 
 
 class StructureConstants:
@@ -343,8 +259,8 @@ def structure_constants(ctx: AlgebraContext) -> StructureConstants:
         for i, x in enumerate(ctx.basis):
             for j, y in enumerate(ctx.basis):
                 prod = basis_product(ctx, x, y)
-                if prod.coeffs:
-                    table[(i, j)] = sorted(prod.coeffs.items())
+                if prod:
+                    table[(i, j)] = sorted(prod.items())
         ctx._sc = StructureConstants(ctx.dim, ctx.ring, table)
     return ctx._sc
 
@@ -372,10 +288,8 @@ def power_assoc_witness(ctx: AlgebraContext):
         return None
     x, y = pair
     n = ctx.n
-    f = (
-        ctx.basis_element((x,) * n)
-        + ctx.basis_element((x,) * (n - 1) + (y,))
-        + ctx.basis_element((x,) * (n - 2) + (y, y))
-    )
-    ff = convolve(f, f)
-    return None if convolve(f, ff) == convolve(ff, f) else f
+    one = ctx.ring.one()
+    tuples = ((x,) * n, (x,) * (n - 1) + (y,), (x,) * (n - 2) + (y, y))
+    f = {ctx.index[t]: one for t in tuples}
+    ff = convolve(ctx, f, f)
+    return None if convolve(ctx, f, ff) == convolve(ctx, ff, f) else f

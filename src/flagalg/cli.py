@@ -29,6 +29,14 @@ class CliError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as every other input error does: one `error: `
+    line and exit 2, raised to `main` (subparsers inherit the class)."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def _emit(report, out_path):
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path:
@@ -214,7 +222,7 @@ def _parse_element(ctx, text):
             if idx in coeffs:
                 raise ValueError(f"duplicate basis tuple {term[0]}")
             coeffs[idx] = ctx.ring.parse(term[1])
-        return ctx.element(coeffs)
+        return coeffs
     except (ValueError, TypeError, RecursionError) as exc:
         raise CliError(f"malformed element (expected [[[x,y,z],\"scalar\"],...]): {exc}")
 
@@ -225,7 +233,7 @@ def cmd_multiply(args) -> int:
     ctx = AlgebraContext(poset, args.n, ring)
     f = _parse_element(ctx, args.lhs)
     g = _parse_element(ctx, args.rhs)
-    prod = convolve(f, g)
+    prod = convolve(ctx, f, g)
     fmt = ring.format
     report = {
         "artifact_version": __version__,
@@ -233,11 +241,11 @@ def cmd_multiply(args) -> int:
         "ring": ring.name,
         "n": args.n,
         "product": [
-            [list(ctx.basis[i]), fmt(v)] for i, v in sorted(prod.coeffs.items())
+            [list(ctx.basis[i]), fmt(v)] for i, v in sorted(prod.items())
         ],
     }
     _emit(report, args.out)
-    print(f"multiply: product has {len(prod.coeffs)} nonzero coefficients", file=sys.stderr)
+    print(f"multiply: product has {len(prod)} nonzero coefficients", file=sys.stderr)
     return EXIT_OK
 
 
@@ -258,7 +266,7 @@ def cmd_enumerate_posets(args) -> int:
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flagalg",
         description="Exact computations in partial flag incidence algebras of finite posets",
     )
@@ -304,9 +312,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CliError, CapabilityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

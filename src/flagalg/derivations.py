@@ -113,9 +113,9 @@ def check_derivation(ctx: AlgebraContext, t: LinearMap) -> bool:
     cols = [t.column(j).items() for j in range(ctx.dim)]
     for (i, j), prod in oracle.items():
         # T(b_i b_j) - T(b_i) b_j - b_i T(b_j) as (scalar, sparse vector) terms
-        terms = [(c, cols[k]) for k, c in prod.coeffs.items()]
-        terms += [(ring.neg(v), oracle[(p, j)].coeffs.items()) for p, v in cols[i]]
-        terms += [(ring.neg(v), oracle[(i, p)].coeffs.items()) for p, v in cols[j]]
+        terms = [(c, cols[k]) for k, c in prod.items()]
+        terms += [(ring.neg(v), oracle[(p, j)].items()) for p, v in cols[i]]
+        terms += [(ring.neg(v), oracle[(i, p)].items()) for p, v in cols[j]]
         diff = {}
         for a, vec in terms:
             for q, c in vec:

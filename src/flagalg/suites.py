@@ -7,13 +7,7 @@ serialized counterexample.
 
 from __future__ import annotations
 
-from .algebra import (
-    AlgebraContext,
-    basis_product,
-    convolve,
-    power_assoc_witness,
-    structure_constants,
-)
+from .algebra import AlgebraContext, convolve, power_assoc_witness, structure_constants
 from .derivations import derivation_basis, moved_basis_tuple
 from .lattice import ideal_J, mul_submodule, z_chain
 from .linalg import span
@@ -37,11 +31,13 @@ def suite_flag_algebra(ctx: AlgebraContext):
     entries = []
     poset, ring, basis = ctx.poset, ctx.ring, ctx.basis
     oracle = ctx.oracle_table()
+    # the table the lattice, the quotients and reconstruction multiply with
+    sc = structure_constants(ctx)
     bad = next(
         (
             [list(basis[i]), list(basis[j])]
             for (i, j), prod in oracle.items()
-            if basis_product(ctx, basis[i], basis[j]) != prod
+            if dict(sc.table.get((i, j), ())) != prod
         ),
         None,
     )
@@ -52,7 +48,7 @@ def suite_flag_algebra(ctx: AlgebraContext):
     if poset.is_antichain():
         e = [ctx.basis_element(x) for x in basis]
         ok = all(
-            convolve(ij, e[k]) == convolve(e[i], oracle[(j, k)])
+            convolve(ctx, ij, e[k]) == convolve(ctx, e[i], oracle[(j, k)])
             for (i, j), ij in oracle.items()
             for k in range(ctx.dim)
         )
@@ -65,14 +61,13 @@ def suite_flag_algebra(ctx: AlgebraContext):
             )
         else:
             entries.append(
-                _entry("power-associativity", "pass", {"witness": sorted(witness.coeffs)})
+                _entry("power-associativity", "pass", {"witness": sorted(witness)})
             )
 
     if ring.is_field:
         if poset.is_antichain():
             entries.append(_entry("no-one-sided-identity", "pass", "antichain: unital"))
         else:
-            sc = structure_constants(ctx)
             left = sc.identity("left") is not None
             right = sc.identity("right") is not None
             entries.append(

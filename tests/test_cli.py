@@ -323,6 +323,24 @@ class TestExitCodes:
     def test_no_subcommand(self):
         assert run_cli().returncode == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "--all-up-to", "x"], ["enumerate-posets"], []],
+        ids=["non-integer-option", "missing-positional", "no-subcommand"],
+    )
+    def test_usage_error_is_one_error_line(self, capsys, argv):
+        # argparse's own errors take the path of every other input error
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: flagalg")
+
 
 class TestReconstruct:
     def test_roundtrip(self, chain2, tmp_path):
@@ -442,17 +460,15 @@ class TestDerivations:
 
 class TestMultiply:
     def test_product(self, chain2):
-        r = run_cli(
-            "multiply",
-            chain2,
-            "--lhs",
-            '[[[0,0,1],"1/2"]]',
-            "--rhs",
-            '[[[0,1,1],"3"]]',
-        )
-        assert r.returncode == 0
-        report = json.loads(r.stdout)
-        assert report["product"] == [[[0, 0, 1], "3/2"], [[0, 1, 1], "3/2"]]
+        for lhs, rhs in (
+            ('[[[0,0,1],"1/2"]]', '[[[0,1,1],"3"]]'),
+            # e_000 e_000 = e_000, so only a dropped zero keeps e_000 out
+            ('[[[0,0,1],"1/2"],[[0,0,0],"0"]]', '[[[0,1,1],"3"],[[0,0,0],"7"]]'),
+        ):
+            r = run_cli("multiply", chain2, "--lhs", lhs, "--rhs", rhs)
+            assert r.returncode == 0
+            report = json.loads(r.stdout)
+            assert report["product"] == [[[0, 0, 1], "3/2"], [[0, 1, 1], "3/2"]]
 
     def test_bad_element_json(self, chain2):
         r = run_cli("multiply", chain2, "--lhs", "not json", "--rhs", "[]")

@@ -7,7 +7,7 @@ import pytest
 
 from flagalg.algebra import AlgebraContext, convolve, structure_constants
 from flagalg.derivations import check_derivation, derivation_basis, leibniz_system
-from flagalg.linalg import LinearMap, kernel, span
+from flagalg.linalg import LinearMap, kernel, span, sub_scaled
 from flagalg.posets import Poset, antichain, chain, enumerate_posets
 from flagalg.rings import Integers, PrimeField, Rationals
 
@@ -19,7 +19,9 @@ def inner_derivation(ctx, a):
     cols = []
     for t in ctx.basis:
         b = ctx.basis_element(t)
-        cols.append((convolve(a, b) - convolve(b, a)).coeffs)
+        col = convolve(ctx, a, b)
+        sub_scaled(col, ctx.ring.one(), convolve(ctx, b, a), ctx.ring)
+        cols.append(col)
     return LinearMap(ctx.ring, cols)
 
 
