@@ -13,12 +13,11 @@ import os
 import sys
 
 from . import __version__
-from .algebra import AlgebraContext, StructureConstants, convolve
-from .derivations import check_derivation, derivation_basis, moved_basis_tuple
 from .posets import PosetError, enumerate_posets, format_poset, parse_poset
-from .reconstruction import AbstractAlgebra, ReconstructionError, reconstruct_poset
 from .rings import CapabilityError, ring_from_spec
-from .suites import run_poset_suite
+
+# Each command imports the pipeline it runs, so a job compiles only the
+# modules it needs when there is no bytecode cache.
 
 EXIT_OK = 0
 EXIT_THEOREM_VIOLATION = 1
@@ -60,6 +59,8 @@ def _load_poset(path):
 
 
 def cmd_check(args) -> int:
+    from .suites import run_poset_suite
+
     if bool(args.poset) == (args.all_up_to is not None):
         raise CliError("check: give exactly one of a poset file or --all-up-to")
     ring = ring_from_spec(args.ring)
@@ -116,6 +117,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    from .algebra import StructureConstants
+    from .reconstruction import AbstractAlgebra, ReconstructionError, reconstruct_poset
+
     ring = ring_from_spec(args.ring)
     try:
         with open(args.table, encoding="utf-8") as fh:
@@ -169,6 +173,9 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_derivations(args) -> int:
+    from .algebra import AlgebraContext
+    from .derivations import check_derivation, derivation_basis, moved_basis_tuple
+
     ring = ring_from_spec(args.ring)
     poset = _load_poset(args.poset)
     ctx = AlgebraContext(poset, args.n, ring)
@@ -228,6 +235,8 @@ def _parse_element(ctx, text):
 
 
 def cmd_multiply(args) -> int:
+    from .algebra import AlgebraContext, convolve
+
     ring = ring_from_spec(args.ring)
     poset = _load_poset(args.poset)
     ctx = AlgebraContext(poset, args.n, ring)

@@ -4,10 +4,12 @@ A vector is a dict from index to nonzero scalar, everywhere in the package
 (scalars are Fractions or ints, so a scalar's truthiness is its zero test).
 Submodules of R^d are kept in a canonical basis (reduced row echelon form
 over fields, row-style Hermite normal form over Z), so equal submodules
-compare equal.  Every elimination over a field goes through SparseEchelon;
-over Z, spans and kernel lattices go through the one sparse `hnf`.  A
-LinearMap keeps its matrix as sparse columns; only `LinearMap.matrix`
-builds dense lists, for reports.
+compare equal.  Every elimination over a field goes through SparseEchelon,
+which indexes each non-pivot column by the stored rows holding it, so a new
+pivot is eliminated only where it occurs; over Z, spans and kernel lattices
+go through the one sparse `hnf`, which keeps its work rows bucketed by
+leading column.  A LinearMap keeps its matrix as sparse columns; only
+`LinearMap.matrix` builds dense lists, for reports.
 """
 
 from __future__ import annotations
@@ -46,7 +48,10 @@ class SparseEchelon:
 
     Rows are dicts mapping column index to a nonzero scalar.  Each accepted
     pivot row is normalized to pivot 1 and its pivot column is eliminated
-    from every other stored row, so reading off kernels is immediate.
+    from every other stored row, so reading off kernels is immediate.  A
+    stored row thus holds its own pivot and otherwise only non-pivot
+    columns; `holders` maps each non-pivot column to the pivots of the rows
+    holding it, and elimination and `kernel_basis` visit only those rows.
 
     A row may carry a tag, a sparse dict naming it as a combination of
     labelled generators; untagged rows count as zero.  Every row operation
@@ -60,6 +65,7 @@ class SparseEchelon:
         self.ring = ring
         self.pivots = {}  # pivot column -> row dict
         self.tags = {}  # pivot column -> tag dict
+        self.holders = {}  # non-pivot column -> pivots of the rows holding it
 
     def reduce(self, row: dict):
         """Reduce row against the stored rows; return (residue, coords).
@@ -96,12 +102,25 @@ class SparseEchelon:
         pinv = ring.inv(row[pcol])
         row = {c: ring.mul(pinv, v) for c, v in row.items()}
         tag = {c: ring.mul(pinv, v) for c, v in tag.items()}
-        # eliminate the new pivot column from existing rows
-        for col, other in self.pivots.items():
-            coeff = other.get(pcol)
-            if coeff is None:
-                continue
-            sub_scaled(other, coeff, row, ring)
+        rest = [(c, v) for c, v in row.items() if c != pcol]
+        holders = self.holders
+        for c, _v in rest:
+            holders.setdefault(c, set()).add(pcol)
+        # eliminate the new pivot column from the rows holding it; over a
+        # field an entry of such a row cancels only where it already was
+        zero = ring.zero()
+        for col in holders.pop(pcol, ()):
+            other = self.pivots[col]
+            coeff = other.pop(pcol)
+            for c, v in rest:
+                nv = ring.sub(other.get(c, zero), ring.mul(coeff, v))
+                if nv:
+                    if c not in other:
+                        holders[c].add(col)
+                    other[c] = nv
+                else:
+                    del other[c]
+                    holders[c].remove(col)
             if tag:
                 sub_scaled(self.tags[col], coeff, tag, ring)
         self.pivots[pcol] = row
@@ -119,10 +138,8 @@ class SparseEchelon:
         basis = []
         for f in free:
             v = {f: ring.one()}
-            for pcol, row in self.pivots.items():
-                coeff = row.get(f)
-                if coeff is not None:
-                    v[pcol] = ring.neg(coeff)
+            for pcol in self.holders.get(f, ()):
+                v[pcol] = ring.neg(self.pivots[pcol][f])
             basis.append(v)
         return basis
 
@@ -135,13 +152,16 @@ def hnf(rows):
     into [0, pivot).  Zero rows are dropped.
     """
     z = Integers()
-    work = [dict(r) for r in rows if r]
+    lead = {}  # leading column -> the work rows that start there
+    for r in rows:
+        if r:
+            lead.setdefault(min(r), []).append(dict(r))
     done = []  # the pivot rows, by pivot column
-    while work:
-        col = min(min(r) for r in work)
-        live = [r for r in work if col in r]
-        work = [r for r in work if col not in r]
-        # gcd-reduce the column until a single nonzero entry remains
+    while lead:
+        col = min(lead)
+        live = lead.pop(col)
+        # gcd-reduce the column until a single nonzero entry remains; a row
+        # that loses it starts further right
         while len(live) > 1:
             live.sort(key=lambda r: abs(r[col]))
             piv = live[0]
@@ -149,7 +169,9 @@ def hnf(rows):
                 q = r[col] // piv[col]
                 if q:
                     sub_scaled(r, q, piv, z)
-            work += [r for r in live if r and col not in r]
+            for r in live:
+                if r and col not in r:
+                    lead.setdefault(min(r), []).append(r)
             live = [r for r in live if col in r]
         piv = live[0]
         done.append(piv if piv[col] > 0 else {c: -x for c, x in piv.items()})

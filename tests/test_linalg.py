@@ -227,3 +227,123 @@ def test_index_outside_ambient_raises(ring):
     with pytest.raises(ValueError, match="outside range"):
         s.contains({0: 1, -1: 1})
     assert s.contains({0: 2}) and not s.contains({2: 1})
+
+
+F5 = PrimeField(5)
+
+
+def dense(vector, width, ring):
+    return [vector.get(i, ring.zero()) for i in range(width)]
+
+
+class GaussJordan:
+    """Dense reference for SparseEchelon: each accepted row is kept as
+    [row | tag] in reduced row echelon form on its first `width` columns."""
+
+    def __init__(self, ring, width, ntags):
+        self.ring, self.width, self.ntags = ring, width, ntags
+        self.rows = []
+
+    def pivot(self, v):
+        return next((c for c in range(self.width) if v[c]), None)
+
+    def combine(self, v, c, r):
+        ring = self.ring
+        return [ring.sub(x, ring.mul(c, y)) for x, y in zip(v, r)]
+
+    def reduce_dense(self, v):
+        for r in self.rows:
+            p = self.pivot(r)
+            if v[p]:
+                v = self.combine(v, v[p], r)
+        return v
+
+    def add_row(self, row, tag):
+        ring = self.ring
+        v = self.reduce_dense(dense(row, self.width, ring) + dense(tag or {}, self.ntags, ring))
+        p = self.pivot(v)
+        if p is None:
+            return False
+        inv = ring.inv(v[p])
+        v = [ring.mul(inv, x) for x in v]
+        self.rows = [self.combine(r, r[p], v) if r[p] else r for r in self.rows] + [v]
+        return True
+
+    def pivots(self):
+        return {self.pivot(r): (sparse(r[: self.width]), sparse(r[self.width :])) for r in self.rows}
+
+    def reduce(self, vector):
+        """(residue, coords): the row part of v minus sum v[p] r_p, and the
+        matching sum v[p] t_p of tags."""
+        ring = self.ring
+        v = dense(vector, self.width, ring) + [ring.zero()] * self.ntags
+        out = self.reduce_dense(v)
+        return sparse(out[: self.width]), sparse([ring.neg(x) for x in out[self.width :]])
+
+    def kernel_basis(self):
+        ring = self.ring
+        piv = {self.pivot(r): r for r in self.rows}
+        basis = []
+        for f in range(self.width):
+            if f not in piv:
+                v = {f: ring.one()}
+                v.update({p: ring.neg(r[f]) for p, r in piv.items() if r[f]})
+                basis.append(v)
+        return basis
+
+
+@st.composite
+def planted_rows(draw, ring):
+    """(width, ntags, [(row, tag)], probes): sparse rows, some of them
+    planted combinations of earlier rows; each row untagged or tagged."""
+    width = draw(st.integers(1, 7))
+    ntags = 4
+    scalar = st.integers(-3, 3).map(ring.coerce)
+
+    def sparse_vec(n):
+        entries = st.dictionaries(st.integers(0, n - 1), scalar, max_size=3)
+        return entries.map(lambda d: {i: x for i, x in d.items() if x})
+
+    rows = []
+    for _ in range(draw(st.integers(1, 9))):
+        if rows and draw(st.booleans()):
+            combo = [ring.zero()] * width
+            for r, _tag in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
+                c = draw(scalar)
+                combo = [ring.add(x, ring.mul(c, y)) for x, y in zip(combo, dense(r, width, ring))]
+            row = sparse(combo)
+        else:
+            row = draw(sparse_vec(width))
+        rows.append((row, draw(st.one_of(st.none(), sparse_vec(ntags)))))
+    probes = draw(st.lists(sparse_vec(width), max_size=3)) + [row for row, _tag in rows]
+    return width, ntags, rows, probes
+
+
+@pytest.mark.parametrize("ring", [Q, F5], ids=lambda r: r.name)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_sparse_echelon_matches_dense_gauss_jordan(ring, data):
+    width, ntags, rows, probes = data.draw(planted_rows(ring))
+    ech, ref = SparseEchelon(ring), GaussJordan(ring, width, ntags)
+    for row, tag in rows:
+        assert ech.add_row(row, tag) == ref.add_row(row, tag)
+        assert {p: (ech.pivots[p], ech.tags[p]) for p in ech.pivots} == ref.pivots()
+        # the column index is exactly the supports of the stored rows
+        supports = {}
+        for p, r in ech.pivots.items():
+            for c in r:
+                if c != p:
+                    supports.setdefault(c, set()).add(p)
+        assert ech.holders == supports
+    for v in probes:
+        assert ech.reduce(v) == ref.reduce(v)
+    assert ech.kernel_basis(width) == ref.kernel_basis()
+
+
+@given(rows=st.lists(st.lists(small_int, min_size=4, max_size=4), max_size=4))
+@settings(max_examples=40)
+def test_hnf_ignores_row_order(rows):
+    rows = [sparse(r) for r in rows]
+    expected = hnf(rows)
+    for perm in itertools.permutations(rows):
+        assert hnf(list(perm)) == expected

@@ -36,7 +36,9 @@ def from_rows(rows):
 
 class TestCanonicalInput:
     @pytest.mark.parametrize(
-        "p", [chain(2), chain(3), antichain(3), V_POSET, DIAMOND], ids=repr
+        "p",
+        [chain(2), chain(3), antichain(3), V_POSET, DIAMOND],
+        ids=["chain2", "chain3", "antichain3", "V", "diamond"],
     )
     def test_recovers_exact_covers(self, p):
         a = AbstractAlgebra.from_context(AlgebraContext(p, 3, Q))
