@@ -5,11 +5,14 @@ of the package; the product is the interval convolution (for f, g and a
 multichain x = (x_1..x_n):
 (fg)(x) = sum over y in the interval product of x of f(x_1,y) g(y,x_n)).
 The closed-form basis product and the anonymous structure-constants table
-are derived from it.
+are derived from it.  The oracle table, a StructureConstants read off the
+same interval products without the closed form, is what they are checked
+against.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from .linalg import SparseEchelon, sub_scaled
@@ -43,35 +46,24 @@ class AlgebraContext:
         pairs = []
         for t in self.basis:
             iv = [sorted(p.interval(t[i], t[i + 1])) for i in range(n - 1)]
-            here = []
-
-            def rec(k, mid):
-                if k == n - 1:
-                    here.append(
-                        (index[(t[0],) + tuple(mid)], index[tuple(mid) + (t[n - 1],)])
-                    )
-                    return
-                for z in iv[k]:
-                    mid.append(z)
-                    rec(k + 1, mid)
-                    mid.pop()
-
-            rec(0, [])
-            pairs.append(tuple(here))
+            mids = itertools.product(*iv)
+            pairs.append(tuple((index[(t[0],) + m], index[m + (t[n - 1],)]) for m in mids))
         return tuple(pairs)
 
-    def oracle_table(self):
-        """{(i, j): convolve(self, e_i, e_j)} for every basis pair in (i, j)
-        order, built once from the convolution alone: an independent check of
-        `basis_product` and the structure constants."""
+    def oracle_table(self) -> "StructureConstants":
+        """The table of the products e_i e_j, built once from the convolution
+        pairs alone: each pair (l, r) feeding basis index k adds one at k to
+        entry (l, r).  It is an independent check of `basis_product` and the
+        structure constants."""
         if self._oracle is None:
-            one = self.ring.one()
-            basis = [{i: one} for i in range(self.dim)]
-            self._oracle = {
-                (i, j): convolve(self, a, b)
-                for i, a in enumerate(basis)
-                for j, b in enumerate(basis)
-            }
+            ring = self.ring
+            one, table = ring.one(), {}
+            for k, pairs in enumerate(self._conv_pairs):
+                for key in pairs:
+                    entry = table.setdefault(key, {})
+                    entry[k] = ring.add(entry.get(k, ring.zero()), one)
+            table = {key: e.items() for key, e in table.items()}
+            self._oracle = StructureConstants(self.dim, ring, table)
         return self._oracle
 
     def index_of(self, t) -> int:
@@ -123,13 +115,10 @@ def basis_product(ctx: AlgebraContext, x, y) -> dict:
     if u != v:
         return {}
     p = ctx.poset
-    mids = [()]
-    for i in range(n - 2):
-        iv = sorted(p.interval(u[i], u[i + 1]))
-        mids = [m + (z,) for m in mids for z in iv]
+    iv = [sorted(p.interval(u[i], u[i + 1])) for i in range(n - 2)]
     # distinct middles give distinct basis tuples: every coefficient is one
     one = ctx.ring.one()
-    return {ctx.index[(x[0],) + mid + (y[n - 1],)]: one for mid in mids}
+    return {ctx.index[(x[0],) + mid + (y[n - 1],)]: one for mid in itertools.product(*iv)}
 
 
 class StructureConstants:
@@ -146,9 +135,6 @@ class StructureConstants:
         entries = ((key, tuple((k, c) for (k, c) in val if c)) for key, val in table.items())
         self.table = {key: val for key, val in entries if val}
         self.chain = None
-
-    def product_coeffs(self, i: int, j: int):
-        return self.table.get((i, j), ())
 
     def multiply(self, u: dict, v: dict) -> dict:
         """Product of two sparse vectors."""
@@ -181,18 +167,15 @@ class StructureConstants:
         for q in range(d):
             row = {}
             for j in range(d):
-                for k, c in self.product_coeffs(*((q, j) if side == "left" else (j, q))):
+                for k, c in self.table.get((q, j) if side == "left" else (j, q), ()):
                     row[j * d + k] = c
             ech.add_row(row, {q: one})
         residue, coords = ech.reduce({j * d + j: one for j in range(d)})
         return None if residue else coords
 
     def is_commutative(self) -> bool:
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if dict(self.table.get((i, j), ())) != dict(self.table.get((j, i), ())):
-                    return False
-        return True
+        table = self.table
+        return all(dict(table.get((j, i), ())) == dict(e) for (i, j), e in table.items())
 
     def to_json(self) -> str:
         fmt = self.ring.format

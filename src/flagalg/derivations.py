@@ -109,17 +109,18 @@ def check_derivation(ctx: AlgebraContext, t: LinearMap) -> bool:
         raise ValueError(f"dimension mismatch: map is {t.dim}, algebra is {ctx.dim}")
     ring = ctx.ring
     zero = ring.zero()
-    oracle = ctx.oracle_table()
+    oracle = ctx.oracle_table().table
     cols = [t.column(j).items() for j in range(ctx.dim)]
-    for (i, j), prod in oracle.items():
-        # T(b_i b_j) - T(b_i) b_j - b_i T(b_j) as (scalar, sparse vector) terms
-        terms = [(c, cols[k]) for k, c in prod.items()]
-        terms += [(ring.neg(v), oracle[(p, j)].items()) for p, v in cols[i]]
-        terms += [(ring.neg(v), oracle[(i, p)].items()) for p, v in cols[j]]
-        diff = {}
-        for a, vec in terms:
-            for q, c in vec:
-                diff[q] = ring.add(diff.get(q, zero), ring.mul(a, c))
-        if any(v != zero for v in diff.values()):
-            return False
+    for i in range(ctx.dim):
+        for j in range(ctx.dim):
+            # T(b_i b_j) - T(b_i) b_j - b_i T(b_j) as (scalar, sparse vector) terms
+            terms = [(c, cols[k]) for k, c in oracle.get((i, j), ())]
+            terms += [(ring.neg(v), oracle.get((p, j), ())) for p, v in cols[i]]
+            terms += [(ring.neg(v), oracle.get((i, p), ())) for p, v in cols[j]]
+            diff = {}
+            for a, vec in terms:
+                for q, c in vec:
+                    diff[q] = ring.add(diff.get(q, zero), ring.mul(a, c))
+            if any(v != zero for v in diff.values()):
+                return False
     return True

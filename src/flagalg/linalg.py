@@ -175,13 +175,15 @@ def hnf(rows):
             live = [r for r in live if col in r]
         piv = live[0]
         done.append(piv if piv[col] > 0 else {c: -x for c, x in piv.items()})
-    # reduce entries above each pivot
-    for i, prow in enumerate(done):
-        pc = min(prow)
-        for r in done[:i]:
-            q = r.get(pc, 0) // prow[pc]
+    # reduce entries above each pivot, bottom up: the rows below r are final,
+    # so r visits only the pivot columns it holds, fill-in included, left to right
+    at = {min(r): r for r in done}  # pivot column -> its row
+    for r in reversed(done):
+        c = min(r)
+        while (c := min((k for k in r if k > c and k in at), default=None)) is not None:
+            q = r[c] // at[c][c]
             if q:
-                sub_scaled(r, q, prow, z)
+                sub_scaled(r, q, at[c], z)
     return done
 
 

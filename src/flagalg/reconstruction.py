@@ -216,7 +216,7 @@ def is_algebra_isomorphism(t: LinearMap, a, b) -> bool:
         return False
     # T is multiplicative iff T^-1 ((T b_i)(T b_j)) = b_i b_j for all i, j
     return all(
-        ech.reduce(sb.multiply(u, v))[1] == dict(sa.product_coeffs(i, j))
+        ech.reduce(sb.multiply(u, v))[1] == dict(sa.table.get((i, j), ()))
         for i, u in enumerate(t.columns)
         for j, v in enumerate(t.columns)
     )

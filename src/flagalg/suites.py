@@ -7,7 +7,7 @@ serialized counterexample.
 
 from __future__ import annotations
 
-from .algebra import AlgebraContext, convolve, power_assoc_witness, structure_constants
+from .algebra import AlgebraContext, power_assoc_witness, structure_constants
 from .derivations import derivation_basis, moved_basis_tuple
 from .lattice import ideal_J, mul_submodule, z_chain
 from .linalg import span
@@ -36,8 +36,8 @@ def suite_flag_algebra(ctx: AlgebraContext):
     bad = next(
         (
             [list(basis[i]), list(basis[j])]
-            for (i, j), prod in oracle.items()
-            if dict(sc.table.get((i, j), ())) != prod
+            for (i, j) in sorted(oracle.table.keys() | sc.table.keys())
+            if dict(sc.table.get((i, j), ())) != dict(oracle.table.get((i, j), ()))
         ),
         None,
     )
@@ -47,11 +47,8 @@ def suite_flag_algebra(ctx: AlgebraContext):
 
     if poset.is_antichain():
         e = [ctx.basis_element(x) for x in basis]
-        ok = all(
-            convolve(ctx, ij, e[k]) == convolve(ctx, e[i], oracle[(j, k)])
-            for (i, j), ij in oracle.items()
-            for k in range(ctx.dim)
-        )
+        mul = oracle.multiply
+        ok = all(mul(mul(a, b), c) == mul(a, mul(b, c)) for a in e for b in e for c in e)
         entries.append(_entry("power-associativity", "pass" if ok else "fail"))
     else:
         witness = power_assoc_witness(ctx)

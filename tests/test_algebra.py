@@ -82,14 +82,17 @@ class TestProduct:
         assert_matches_oracle(AlgebraContext(diamond, 3, PrimeField(3)))
 
     def test_oracle_table_is_the_basis_convolutions(self):
+        # every pair, zero products included, against the element convolution
         diamond = Poset.from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        ctx = AlgebraContext(diamond, 3, Q)
-        table = ctx.oracle_table()
-        assert list(table) == [(i, j) for i in range(ctx.dim) for j in range(ctx.dim)]
-        for (i, j), prod in table.items():
-            e_i, e_j = ctx.basis_element(ctx.basis[i]), ctx.basis_element(ctx.basis[j])
-            assert prod == convolve(ctx, e_i, e_j)
-        assert ctx.oracle_table() is table
+        posets = [(p, n) for m in range(1, 4) for p in enumerate_posets(m) for n in (2, 3, 4)]
+        for (p, n), ring in itertools.product(posets + [(diamond, 3)], (Q, PrimeField(2))):
+            ctx = AlgebraContext(p, n, ring)
+            table = ctx.oracle_table()
+            assert isinstance(table, StructureConstants) and table.dim == ctx.dim
+            e = [{i: ring.one()} for i in range(ctx.dim)]
+            for i, j in itertools.product(range(ctx.dim), repeat=2):
+                assert dict(table.table.get((i, j), ())) == convolve(ctx, e[i], e[j])
+            assert ctx.oracle_table() is table
 
 
 class TestBilinearity:
@@ -166,7 +169,7 @@ class TestStructureConstants:
         sc = structure_constants(ctx)
         for i, x in enumerate(ctx.basis):
             for j, y in enumerate(ctx.basis):
-                assert dict(sc.product_coeffs(i, j)) == basis_product(ctx, x, y)
+                assert dict(sc.table.get((i, j), ())) == basis_product(ctx, x, y)
 
     def test_multiply_matches_convolve(self):
         ctx = AlgebraContext(chain(2), 3, Q)

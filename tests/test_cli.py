@@ -90,12 +90,16 @@ class TestCheck:
         [
             (["--ring", "Z"], "check_all3_z.json", 2),
             (["--ring", "Fp:3", "--seed", "2"], "check_all3_fp3_seed2.json", 0),
+            (["--ring", "Q"], "check_all3_q.json", 0),
+            (["--ring", "Fp:2"], "check_all3_fp2.json", 0),
         ],
-        ids=["Z", "Fp3-seed2"],
+        ids=["Z", "Fp3-seed2", "Q", "Fp2"],
     )
     def test_report_is_pinned(self, args, golden, code):
-        # golden reports written by the code before the suites shared one
-        # context and one plain-table reconstruction
+        # the Z and Fp:3 golden reports were written by the code before the
+        # suites shared one context and one plain-table reconstruction, the Q
+        # and Fp:2 ones by the code before the oracle became a table; over
+        # F_2 a product coefficient of 2 would vanish
         r = run_cli("check", "--all-up-to", "3", *args)
         assert r.returncode == code
         assert r.stdout == (DATA / golden).read_text()
@@ -133,6 +137,22 @@ class TestCheck:
             {"theorem": "idempotent-counts", "status": "fail", "counterexample": failed},
             {"theorem": "reconstruction-roundtrip", "status": "fail", "counterexample": failed},
         ]
+
+    def test_closed_form_mismatch_is_reported(self):
+        # an extra term where the oracle product is zero, then a changed
+        # coefficient at a later pair: the first pair in (i, j) order is named
+        ctx = AlgebraContext(chain(2), 3, Rationals())
+        i = ctx.index
+        table = dict(structure_constants(ctx).table)
+        table[(i[(0, 1, 1)], i[(1, 1, 1)])] = [(i[(0, 1, 1)], Fraction(2))]
+        table[(i[(0, 1, 1)], i[(0, 0, 1)])] = [(i[(0, 0, 1)], Fraction(1))]
+        ctx._sc = StructureConstants(ctx.dim, ctx.ring, table)
+        entry = suites.suite_flag_algebra(ctx)[0]
+        assert entry == {
+            "theorem": "product-closed-form",
+            "status": "fail",
+            "counterexample": [[0, 1, 1], [0, 0, 1]],
+        }
 
     def test_reconstruction_failure_is_reported(self, monkeypatch):
         def broken(algebra):

@@ -14,6 +14,7 @@ from flagalg.linalg import (
     hnf,
     kernel,
     span,
+    sub_scaled,
 )
 from flagalg.rings import Integers, PrimeField, Rationals
 
@@ -96,6 +97,33 @@ def test_hnf_pivots_positive_and_reduced(rows):
         assert row[p] > 0
         for k in range(i):
             assert 0 <= h[k].get(p, 0) < row[p]
+
+
+def reduce_above_pivots_all_pairs(echelon):
+    """The reference for `hnf`'s final pass: for each pivot row in turn,
+    reduce its pivot column in every row above it."""
+    rows = [dict(r) for r in echelon]
+    for i, prow in enumerate(rows):
+        pc = min(prow)
+        for r in rows[:i]:
+            q = r.get(pc, 0) // prow[pc]
+            if q:
+                sub_scaled(r, q, prow, Z)
+    return rows
+
+
+@given(matrices(5, 6), st.lists(st.integers(-9, 9), min_size=10, max_size=10))
+@settings(max_examples=200)
+def test_hnf_final_pass_matches_all_pairs_reference(rows, multipliers):
+    # add multiples of each HNF row to the rows above it: an echelon basis of
+    # the same lattice with positive pivots, left for the final pass to reduce
+    h = hnf([sparse(r) for r in rows])
+    echelon = [dict(r) for r in h]
+    m = iter(multipliers)
+    for i, j in itertools.combinations(range(len(echelon)), 2):
+        sub_scaled(echelon[i], next(m), echelon[j], Z)
+    assert reduce_above_pivots_all_pairs(echelon) == h
+    assert hnf(echelon) == h
 
 
 class TestSpan:
