@@ -124,15 +124,18 @@ def basis_product(ctx: AlgebraContext, x, y) -> dict:
 class StructureConstants:
     """Anonymous multiplication table of a finite free R-algebra.
 
-    table[(i, j)] is a tuple of (k, c) with c the nonzero coefficient of
-    basis vector k in b_i * b_j; absent pairs have zero product.  `chain`
-    holds the commutator chain once `lattice.commutator_chain` computed it.
+    table[(i, j)] is a tuple of (k, c), sorted by k, with c the nonzero
+    coefficient of basis vector k in b_i * b_j; absent pairs have zero
+    product, so equal tables compare equal with `==`.  `chain` holds the
+    commutator chain once `lattice.commutator_chain` computed it.
     """
 
     def __init__(self, dim: int, ring: Ring, table: dict):
         self.dim = dim
         self.ring = ring
-        entries = ((key, tuple((k, c) for (k, c) in val if c)) for key, val in table.items())
+        entries = (
+            (key, tuple(sorted((k, c) for (k, c) in val if c))) for key, val in table.items()
+        )
         self.table = {key: val for key, val in entries if val}
         self.chain = None
 
@@ -175,7 +178,20 @@ class StructureConstants:
 
     def is_commutative(self) -> bool:
         table = self.table
-        return all(dict(table.get((j, i), ())) == dict(e) for (i, j), e in table.items())
+        return all(table.get((j, i)) == e for (i, j), e in table.items())
+
+    def rebase(self, ech: SparseEchelon, vectors) -> "StructureConstants | None":
+        """The table in the basis `vectors`: entry (i, j) holds the coords of
+        v_i v_j reduced against `ech`, whose rows carry the vectors' tags.
+        None if a product leaves a residue, i.e. the span is not closed."""
+        table = {}
+        for i, a in enumerate(vectors):
+            for j, b in enumerate(vectors):
+                residue, coords = ech.reduce(self.multiply(a, b))
+                if residue:
+                    return None
+                table[(i, j)] = coords.items()
+        return StructureConstants(len(vectors), self.ring, table)
 
     def to_json(self) -> str:
         fmt = self.ring.format
@@ -243,7 +259,7 @@ def structure_constants(ctx: AlgebraContext) -> StructureConstants:
             for j, y in enumerate(ctx.basis):
                 prod = basis_product(ctx, x, y)
                 if prod:
-                    table[(i, j)] = sorted(prod.items())
+                    table[(i, j)] = prod.items()
         ctx._sc = StructureConstants(ctx.dim, ctx.ring, table)
     return ctx._sc
 

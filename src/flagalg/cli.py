@@ -17,7 +17,8 @@ from .posets import PosetError, enumerate_posets, format_poset, parse_poset
 from .rings import CapabilityError, ring_from_spec
 
 # Each command imports the pipeline it runs, so a job compiles only the
-# modules it needs when there is no bytecode cache.
+# modules it needs when there is no bytecode cache.  It returns
+# (exit code, report body, summary); `main` adds the envelope and prints.
 
 EXIT_OK = 0
 EXIT_THEOREM_VIOLATION = 1
@@ -58,7 +59,7 @@ def _load_poset(path):
         raise CliError(f"poset parse error: {exc}")
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     from .suites import run_poset_suite
 
     if bool(args.poset) == (args.all_up_to is not None):
@@ -75,48 +76,30 @@ def cmd_check(args) -> int:
             for i, p in enumerate(enumerate_posets(size)):
                 posets.append((f"size{size}-{i}", p))
     results = []
-    any_fail = False
-    any_capability = False
     for name, poset in posets:
-        entries = run_poset_suite(poset, ring, args.seed)
-        for e in entries:
-            if e["status"] == "fail":
-                any_fail = True
-            elif e["status"] == "capability-skip":
-                any_capability = True
         results.append(
             {
                 "poset": name,
                 "size": poset.size,
                 "covers": [list(c) for c in poset.covers],
-                "theorems": entries,
+                "theorems": run_poset_suite(poset, ring, args.seed),
             }
         )
-    report = {
-        "artifact_version": __version__,
-        "command": "check",
-        "ring": ring.name,
-        "seed": args.seed,
-        "posets": results,
-    }
-    _emit(report, args.out)
-    n_pass = sum(
-        1 for r in results for e in r["theorems"] if e["status"] == "pass"
+    statuses = [e["status"] for r in results for e in r["theorems"]]
+    if "fail" in statuses:
+        code = EXIT_THEOREM_VIOLATION
+    elif "capability-skip" in statuses:
+        code = EXIT_INPUT_ERROR
+    else:
+        code = EXIT_OK
+    summary = (
+        f"{len(results)} poset(s) over {ring.name}: "
+        f"{statuses.count('pass')}/{len(statuses)} theorem checks passed"
     )
-    n_total = sum(len(r["theorems"]) for r in results)
-    print(
-        f"check: {len(results)} poset(s) over {ring.name}: "
-        f"{n_pass}/{n_total} theorem checks passed",
-        file=sys.stderr,
-    )
-    if any_fail:
-        return EXIT_THEOREM_VIOLATION
-    if any_capability:
-        return EXIT_INPUT_ERROR
-    return EXIT_OK
+    return code, {"ring": ring.name, "seed": args.seed, "posets": results}, summary
 
 
-def cmd_reconstruct(args) -> int:
+def cmd_reconstruct(args):
     from .algebra import StructureConstants
     from .reconstruction import AbstractAlgebra, ReconstructionError, reconstruct_poset
 
@@ -134,23 +117,13 @@ def cmd_reconstruct(args) -> int:
         algebra = AbstractAlgebra(sc)
         poset, elements, cover_lifts = reconstruct_poset(algebra)
     except ReconstructionError as exc:
-        report = {
-            "artifact_version": __version__,
-            "command": "reconstruct",
-            "ring": ring.name,
-            "status": "fail",
-            "diagnostic": str(exc),
-        }
-        _emit(report, args.out)
-        print(f"reconstruct: FAILED: {exc}", file=sys.stderr)
-        return EXIT_THEOREM_VIOLATION
+        report = {"ring": ring.name, "status": "fail", "diagnostic": str(exc)}
+        return EXIT_THEOREM_VIOLATION, report, f"FAILED: {exc}"
 
     def dense(vec):
         return [ring.format(vec.get(i, ring.zero())) for i in range(sc.dim)]
 
     report = {
-        "artifact_version": __version__,
-        "command": "reconstruct",
         "ring": ring.name,
         "status": "ok",
         "size": poset.size,
@@ -163,16 +136,11 @@ def cmd_reconstruct(args) -> int:
             "covers": len(poset.covers),
         },
     }
-    _emit(report, args.out)
-    print(
-        f"reconstruct: recovered a poset on {poset.size} elements with "
-        f"{len(poset.covers)} covers",
-        file=sys.stderr,
-    )
-    return EXIT_OK
+    summary = f"recovered a poset on {poset.size} elements with {len(poset.covers)} covers"
+    return EXIT_OK, report, summary
 
 
-def cmd_derivations(args) -> int:
+def cmd_derivations(args):
     from .algebra import AlgebraContext
     from .derivations import check_derivation, derivation_basis, moved_basis_tuple
 
@@ -192,28 +160,23 @@ def cmd_derivations(args) -> int:
         raise CliError("internal error: kernel vector fails the direct check")
     fmt = ring.format
     report = {
-        "artifact_version": __version__,
-        "command": "derivations",
         "ring": ring.name,
         "n": args.n,
         "dim": ctx.dim,
         "kernel_rank": len(basis),
         "basis": [[[fmt(v) for v in row] for row in t.matrix] for t in basis],
     }
+    summary = f"n={args.n}, kernel rank {len(basis)}"
     if violation:
         report["status"] = "THEOREM VIOLATION"
         report["violation"] = violation
-    elif args.n >= 4:
-        report["warning"] = "n >= 4 is an unverified regime; no theorem is asserted"
-    _emit(report, args.out)
-    msg = f"derivations: n={args.n}, kernel rank {len(basis)}"
-    if violation:
-        msg += (
+        summary += (
             " — THEOREM VIOLATION (expected 0 for n=3; a kernel map moves "
             f"e{tuple(violation['basis_tuple'])})"
         )
-    print(msg, file=sys.stderr)
-    return EXIT_THEOREM_VIOLATION if violation else EXIT_OK
+    elif args.n >= 4:
+        report["warning"] = "n >= 4 is an unverified regime; no theorem is asserted"
+    return (EXIT_THEOREM_VIOLATION if violation else EXIT_OK), report, summary
 
 
 def _parse_element(ctx, text):
@@ -234,7 +197,7 @@ def _parse_element(ctx, text):
         raise CliError(f"malformed element (expected [[[x,y,z],\"scalar\"],...]): {exc}")
 
 
-def cmd_multiply(args) -> int:
+def cmd_multiply(args):
     from .algebra import AlgebraContext, convolve
 
     ring = ring_from_spec(args.ring)
@@ -245,33 +208,21 @@ def cmd_multiply(args) -> int:
     prod = convolve(ctx, f, g)
     fmt = ring.format
     report = {
-        "artifact_version": __version__,
-        "command": "multiply",
         "ring": ring.name,
         "n": args.n,
         "product": [
             [list(ctx.basis[i]), fmt(v)] for i, v in sorted(prod.items())
         ],
     }
-    _emit(report, args.out)
-    print(f"multiply: product has {len(prod)} nonzero coefficients", file=sys.stderr)
-    return EXIT_OK
+    return EXIT_OK, report, f"product has {len(prod)} nonzero coefficients"
 
 
-def cmd_enumerate_posets(args) -> int:
+def cmd_enumerate_posets(args):
     if not 1 <= args.size <= 6:
         raise CliError("size must be between 1 and 6")
     posets = enumerate_posets(args.size)
-    report = {
-        "artifact_version": __version__,
-        "command": "enumerate-posets",
-        "size": args.size,
-        "count": len(posets),
-        "posets": [format_poset(p) for p in posets],
-    }
-    _emit(report, args.out)
-    print(f"enumerate-posets: {len(posets)} classes of size {args.size}", file=sys.stderr)
-    return EXIT_OK
+    report = {"size": args.size, "count": len(posets), "posets": [format_poset(p) for p in posets]}
+    return EXIT_OK, report, f"{len(posets)} classes of size {args.size}"
 
 
 def build_parser():
@@ -321,12 +272,17 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    """Run one command, write its report under the common envelope, print
+    `<command>: <summary>` and return the command's exit code."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code, body, summary = args.func(args)
+        _emit({"artifact_version": __version__, "command": args.command, **body}, args.out)
     except (CliError, CapabilityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    print(f"{args.command}: {summary}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

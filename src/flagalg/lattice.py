@@ -101,20 +101,15 @@ class QuotientAlgebra:
             raise IdealError("denominator is not contained in the numerator")
         self.transversal = tuple(transversal)
         self.dim = len(transversal)
-        table = {}
-        for i, a in enumerate(self.transversal):
-            for j, b in enumerate(self.transversal):
-                residue, coords = self._echelon.reduce(algebra.multiply(a, b))
-                if residue:
-                    raise IdealError("numerator is not closed under the product")
-                table[(i, j)] = sorted(coords.items())
+        self.sc = algebra.rebase(self._echelon, self.transversal)
+        if self.sc is None:
+            raise IdealError("numerator is not closed under the product")
         for a in numerator.basis:
             for b in denominator.basis:
                 if any(self._echelon.reduce(algebra.multiply(a, b))):
                     raise IdealError("denominator is not a left ideal of the numerator")
                 if any(self._echelon.reduce(algebra.multiply(b, a))):
                     raise IdealError("denominator is not a right ideal of the numerator")
-        self.sc = StructureConstants(self.dim, ring, table)
 
     def reduce(self, vector):
         """Quotient coordinates of an ambient vector in U (else IdealError)."""

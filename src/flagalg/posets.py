@@ -128,20 +128,10 @@ class Poset:
         """All weakly increasing n-tuples in lexicographic index order."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        out = []
-
-        def extend(prefix, last):
-            if len(prefix) == n:
-                out.append(tuple(prefix))
-                return
-            for y in range(self.size):
-                if last is None or self.leq[last][y]:
-                    prefix.append(y)
-                    extend(prefix, y)
-                    prefix.pop()
-
-        extend([], None)
-        return out
+        chains = [(x,) for x in range(self.size)]
+        for _ in range(n - 1):
+            chains = [c + (y,) for c in chains for y in range(self.size) if self.leq[c[-1]][y]]
+        return chains
 
     def relabel(self, perm):
         """Image poset under index map x -> perm[x]."""

@@ -178,15 +178,10 @@ def conjugate_table(ctx: AlgebraContext, t: LinearMap) -> AbstractAlgebra:
     """Express the algebra in the basis {T b_k}: c'_{ij} solves
     (T b_i)(T b_j) = sum_k c'_{ij}^k (T b_k), read off as the coords of the
     product reduced against T's tagged columns."""
-    sc = structure_constants(ctx)
     ech = t.column_echelon()
     if ech is None:
         raise ValueError("conjugating map is singular")
-    table = {}
-    for i, a in enumerate(t.columns):
-        for j, b in enumerate(t.columns):
-            table[(i, j)] = sorted(ech.reduce(sc.multiply(a, b))[1].items())
-    return AbstractAlgebra(StructureConstants(ctx.dim, ctx.ring, table))
+    return AbstractAlgebra(structure_constants(ctx).rebase(ech, t.columns))
 
 
 def induced_isomorphism(phi, ctx_p: AlgebraContext, ctx_q: AlgebraContext) -> LinearMap:
@@ -215,11 +210,7 @@ def is_algebra_isomorphism(t: LinearMap, a, b) -> bool:
     if ech is None:
         return False
     # T is multiplicative iff T^-1 ((T b_i)(T b_j)) = b_i b_j for all i, j
-    return all(
-        ech.reduce(sb.multiply(u, v))[1] == dict(sa.table.get((i, j), ()))
-        for i, u in enumerate(t.columns)
-        for j, v in enumerate(t.columns)
-    )
+    return sb.rebase(ech, t.columns).table == sa.table
 
 
 def decide_isomorphism(a: AbstractAlgebra, b: AbstractAlgebra):

@@ -37,7 +37,7 @@ def suite_flag_algebra(ctx: AlgebraContext):
         (
             [list(basis[i]), list(basis[j])]
             for (i, j) in sorted(oracle.table.keys() | sc.table.keys())
-            if dict(sc.table.get((i, j), ())) != dict(oracle.table.get((i, j), ()))
+            if sc.table.get((i, j)) != oracle.table.get((i, j))
         ),
         None,
     )

@@ -189,6 +189,15 @@ class TestStructureConstants:
             assert again.ring == sc.ring
             assert again.table == sc.table
 
+    def test_term_order_does_not_matter(self):
+        # entries are stored sorted by k, so a table listing its terms in
+        # descending k equals the ascending one
+        ascending = '{"dim":3,"ring":"Q","table":[[0,1,[[0,"1"],[2,"-1/2"]]],[2,2,[[1,"3"],[2,"1"]]]]}'
+        descending = '{"dim":3,"ring":"Q","table":[[0,1,[[2,"-1/2"],[0,"1"]]],[2,2,[[2,"1"],[1,"3"]]]]}'
+        a, b = StructureConstants.from_json(ascending), StructureConstants.from_json(descending)
+        assert a.table == b.table
+        assert b.to_json() == ascending
+
     def test_json_is_deterministic(self):
         ctx = AlgebraContext(chain(3), 3, Q)
         assert structure_constants(ctx).to_json() == structure_constants(ctx).to_json()

@@ -86,16 +86,16 @@ class TestCheck:
         assert json.loads(out.read_text()) == json.loads(plain.stdout)
 
     @pytest.mark.parametrize(
-        "args, golden, code",
+        "args, golden, code, summary",
         [
-            (["--ring", "Z"], "check_all3_z.json", 2),
-            (["--ring", "Fp:3", "--seed", "2"], "check_all3_fp3_seed2.json", 0),
-            (["--ring", "Q"], "check_all3_q.json", 0),
-            (["--ring", "Fp:2"], "check_all3_fp2.json", 0),
+            (["--ring", "Z"], "check_all3_z.json", 2, "over Z: 48/72"),
+            (["--ring", "Fp:3", "--seed", "2"], "check_all3_fp3_seed2.json", 0, "over Fp:3: 72/72"),
+            (["--ring", "Q"], "check_all3_q.json", 0, "over Q: 72/72"),
+            (["--ring", "Fp:2"], "check_all3_fp2.json", 0, "over Fp:2: 72/72"),
         ],
         ids=["Z", "Fp3-seed2", "Q", "Fp2"],
     )
-    def test_report_is_pinned(self, args, golden, code):
+    def test_report_is_pinned(self, args, golden, code, summary):
         # the Z and Fp:3 golden reports were written by the code before the
         # suites shared one context and one plain-table reconstruction, the Q
         # and Fp:2 ones by the code before the oracle became a table; over
@@ -103,6 +103,7 @@ class TestCheck:
         r = run_cli("check", "--all-up-to", "3", *args)
         assert r.returncode == code
         assert r.stdout == (DATA / golden).read_text()
+        assert r.stderr == f"check: 8 poset(s) {summary} theorem checks passed\n"
 
     def test_f2_antichain_of_40_splits(self, tmp_path):
         # F2^40 needs 39 binary splits: over F_2 an element has at most two eigenvalues
@@ -226,6 +227,7 @@ class TestExitCodes:
         assert report["diagnostic"] == (
             "the recovered poset has 1 3-multichain(s), so its third flag algebra has dim 1, not the table's 2"
         )
+        assert r.stderr == f"reconstruct: FAILED: {report['diagnostic']}\n"
 
     @pytest.mark.parametrize("spec", ["Fp", "Zm"])
     def test_oversized_modulus_is_refused(self, chain2, spec):
@@ -388,6 +390,7 @@ class TestReconstruct:
         r = run_cli("reconstruct", str(f), "--ring", "Fp:3", "--seed", "2")
         assert r.returncode == 0
         assert r.stdout == (DATA / "reconstruct_order_fp3_seed2.json").read_text()
+        assert r.stderr == "reconstruct: recovered a poset on 4 elements with 1 covers\n"
 
     def test_q_report_is_pinned(self, tmp_path):
         # the diamond's table scrambled over Q: the pinned report holds the
@@ -400,6 +403,7 @@ class TestReconstruct:
         r = run_cli("reconstruct", str(f), "--ring", "Q")
         assert r.returncode == 0
         assert r.stdout == (DATA / "reconstruct_diamond_q_seed0.json").read_text()
+        assert r.stderr == "reconstruct: recovered a poset on 4 elements with 4 covers\n"
 
     def test_single_entry_faults(self, tmp_path, capsys):
         # flip each of the 64 structure constants c_ij^k of I^3(2-chain) over
@@ -452,7 +456,12 @@ class TestDerivations:
 
         monkeypatch.setattr(derivations, "kernel", fake_kernel)
         assert cli.main(["derivations", chain2]) == 1
-        report = json.loads(capsys.readouterr().out)
+        out, err = capsys.readouterr()
+        assert err == (
+            "derivations: n=3, kernel rank 1 — THEOREM VIOLATION (expected 0 for n=3; "
+            "a kernel map moves e(0, 0, 0))\n"
+        )
+        report = json.loads(out)
         assert report["status"] == "THEOREM VIOLATION"
         assert report["violation"] == {"basis_tuple": [0, 0, 0], "direct_check": "fail"}
         entries = suites.suite_derivations(AlgebraContext(chain(2), 3, Rationals()))
@@ -471,6 +480,7 @@ class TestDerivations:
         r = run_cli("derivations", str(f), "--n", "2", "--ring", "Q")
         assert r.returncode == 0
         assert r.stdout == (DATA / "derivations_chain3_n2_q.json").read_text()
+        assert r.stderr == "derivations: n=2, kernel rank 5\n"
 
     def test_higher_n_is_flagged_unverified(self, chain2):
         r = run_cli("derivations", chain2, "--n", "4")
@@ -489,6 +499,15 @@ class TestMultiply:
             assert r.returncode == 0
             report = json.loads(r.stdout)
             assert report["product"] == [[[0, 0, 1], "3/2"], [[0, 1, 1], "3/2"]]
+
+    def test_diamond_report_is_pinned(self, tmp_path):
+        f = tmp_path / "diamond.poset"
+        f.write_text("elements: a b c d\ncovers:\na b\na c\nb d\nc d\n")
+        lhs, rhs = '[[[0,0,1],"1/2"],[[0,1,3],"2"]]', '[[[0,1,1],"3"],[[1,3,3],"5"]]'
+        r = run_cli("multiply", str(f), "--lhs", lhs, "--rhs", rhs)
+        assert r.returncode == 0
+        assert r.stdout == (DATA / "multiply_diamond_n3_q.json").read_text()
+        assert r.stderr == "multiply: product has 4 nonzero coefficients\n"
 
     def test_bad_element_json(self, chain2):
         r = run_cli("multiply", chain2, "--lhs", "not json", "--rhs", "[]")
@@ -520,6 +539,12 @@ class TestEnumerate:
             report = json.loads(r.stdout)
             assert report["count"] == count
             assert len(report["posets"]) == count
+
+    def test_size_4_report_is_pinned(self):
+        r = run_cli("enumerate-posets", "4")
+        assert r.returncode == 0
+        assert r.stdout == (DATA / "enumerate_posets_4.json").read_text()
+        assert r.stderr == "enumerate-posets: 16 classes of size 4\n"
 
     def test_out_of_range(self):
         assert run_cli("enumerate-posets", "7").returncode == 2
