@@ -39,8 +39,6 @@ _EXPORTS = {
     ),
     "reconstruction": (
         "AbstractAlgebra",
-        "decide_isomorphism",
-        "enumerate_isomorphisms_exhaustive",
         "induced_isomorphism",
         "is_algebra_isomorphism",
         "reconstruct_poset",

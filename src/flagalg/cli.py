@@ -114,8 +114,7 @@ def cmd_reconstruct(args):
     if sc.ring != ring:
         raise CliError(f"table ring {sc.ring.name} does not match --ring {ring.name}")
     try:
-        algebra = AbstractAlgebra(sc)
-        poset, elements, cover_lifts = reconstruct_poset(algebra)
+        poset, elements, cover_lifts = reconstruct_poset(AbstractAlgebra(sc))
     except ReconstructionError as exc:
         report = {"ring": ring.name, "status": "fail", "diagnostic": str(exc)}
         return EXIT_THEOREM_VIOLATION, report, f"FAILED: {exc}"
@@ -131,7 +130,7 @@ def cmd_reconstruct(args):
         "element_idempotents": [dense(vec) for vec in elements],
         "cover_idempotents": [dense(vec) for vec in cover_lifts],
         "stage_ranks": {
-            "dim": algebra.dim,
+            "dim": sc.dim,
             "elements": poset.size,
             "covers": len(poset.covers),
         },

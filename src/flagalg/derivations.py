@@ -94,7 +94,7 @@ def moved_basis_tuple(ctx: AlgebraContext, t: LinearMap):
     For n = 3 every derivation kills every basis element, so any such tuple
     names a theorem violation.
     """
-    return next((ctx.basis[q] for q in range(ctx.dim) if t.column(q)), None)
+    return next((ctx.basis[q] for q, col in enumerate(t.columns) if col), None)
 
 
 def check_derivation(ctx: AlgebraContext, t: LinearMap) -> bool:
@@ -110,7 +110,7 @@ def check_derivation(ctx: AlgebraContext, t: LinearMap) -> bool:
     ring = ctx.ring
     zero = ring.zero()
     oracle = ctx.oracle_table().table
-    cols = [t.column(j).items() for j in range(ctx.dim)]
+    cols = [col.items() for col in t.columns]
     for i in range(ctx.dim):
         for j in range(ctx.dim):
             # T(b_i b_j) - T(b_i) b_j - b_i T(b_j) as (scalar, sparse vector) terms

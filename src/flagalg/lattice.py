@@ -131,18 +131,17 @@ def quotient(sc: StructureConstants, u: Submodule, v: Submodule) -> QuotientAlge
     return QuotientAlgebra(sc, u, v)
 
 
-def primitive_idempotents(q):
+def primitive_idempotents(sc: StructureConstants):
     """Complete orthogonal primitive idempotent decomposition over a field.
 
-    Accepts a QuotientAlgebra or a StructureConstants of a commutative
-    unital algebra.  Returns quotient/abstract coordinate vectors, in the
-    order of their dense coordinate tuples.  Splits every idempotent e by
+    Takes the table of a commutative unital algebra (a quotient's `.sc` for
+    a QuotientAlgebra).  Returns coordinate vectors on the table's basis, in
+    the order of their dense coordinate tuples.  Splits every idempotent e by
     the eigenvalues of e*t for the probes
     t = sum_k (k+1) b_k, b_0, ..., b_(d-1) until there are d of them: the
     basis separates the components of a product of copies of the field,
     and any other algebra raises SplittingError naming a minimal polynomial.
     """
-    sc = q.sc if isinstance(q, QuotientAlgebra) else q
     ring = sc.ring
     if not ring.is_field:
         raise CapabilityError("primitive idempotent decomposition requires a field")

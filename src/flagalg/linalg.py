@@ -306,9 +306,6 @@ class LinearMap:
         zero = self.ring.zero()
         return tuple(tuple(col.get(i, zero) for col in self.columns) for i in range(self.dim))
 
-    def column(self, j):
-        return self.columns[j]
-
     def apply(self, vector: dict) -> dict:
         ring = self.ring
         out = {}

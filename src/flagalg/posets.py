@@ -84,9 +84,6 @@ class Poset:
                     raise PosetError("cycle detected in declared relation")
         return cls(leq, names=names)
 
-    def le(self, x, y) -> bool:
-        return self.leq[x][y]
-
     def interval(self, x, y):
         """The set {z : x <= z <= y}; x <= y required."""
         if not self.leq[x][y]:

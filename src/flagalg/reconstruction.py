@@ -1,6 +1,5 @@
 """Recover a poset from anonymous structure constants of its third flag
-algebra, decide flag-algebra isomorphism, and realize/verify the
-isomorphisms induced by poset maps.
+algebra, and realize/verify the isomorphisms induced by poset maps.
 """
 
 from __future__ import annotations
@@ -10,7 +9,7 @@ import random
 from .algebra import AlgebraContext, StructureConstants, structure_constants
 from .lattice import IdealError, SplittingError, commutator_chain, primitive_idempotents, quotient
 from .linalg import LinearMap, span, sub_scaled
-from .posets import Poset, find_isomorphism, is_order_isomorphism
+from .posets import Poset, is_order_isomorphism
 from .rings import CapabilityError
 
 
@@ -29,12 +28,6 @@ class AbstractAlgebra:
                 "indecomposable coefficient ring"
             )
         self.sc = sc
-        self.ring = ring
-        self.dim = sc.dim
-
-    @classmethod
-    def from_context(cls, ctx: AlgebraContext) -> "AbstractAlgebra":
-        return cls(structure_constants(ctx))
 
 
 def reconstruct_poset(a: AbstractAlgebra):
@@ -46,7 +39,7 @@ def reconstruct_poset(a: AbstractAlgebra):
     order is the reflexive-transitive closure of the covers.
     """
     sc = a.sc
-    ring = a.ring
+    ring = sc.ring
     if not ring.is_field:
         raise CapabilityError(
             f"reconstruction requires a field (got {ring.name}); re-run over Q"
@@ -65,7 +58,7 @@ def reconstruct_poset(a: AbstractAlgebra):
     except IdealError:
         raise ReconstructionError("the commutator submodule is not an ideal")
     try:
-        elem_idems = primitive_idempotents(q1)
+        elem_idems = primitive_idempotents(q1.sc)
     except SplittingError as exc:
         raise ReconstructionError(f"element quotient did not split: {exc}") from exc
     # order by leading coordinate so canonical input labels elements by the
@@ -95,7 +88,7 @@ def reconstruct_poset(a: AbstractAlgebra):
     if c2.rank > c3.rank:
         try:
             q2 = quotient(sc, c2, c3)
-            cover_idems = primitive_idempotents(q2)
+            cover_idems = primitive_idempotents(q2.sc)
         except IdealError as exc:
             raise ReconstructionError(f"C2/C3 is not a quotient algebra: {exc}")
         except SplittingError as exc:
@@ -196,10 +189,8 @@ def induced_isomorphism(phi, ctx_p: AlgebraContext, ctx_q: AlgebraContext) -> Li
     return LinearMap(ctx_p.ring, [{ctx_q.index[tuple(phi[x] for x in tup)]: one} for tup in ctx_p.basis])
 
 
-def is_algebra_isomorphism(t: LinearMap, a, b) -> bool:
-    """True iff T is invertible and multiplicative from A to B."""
-    sa = a.sc if isinstance(a, AbstractAlgebra) else structure_constants(a)
-    sb = b.sc if isinstance(b, AbstractAlgebra) else structure_constants(b)
+def is_algebra_isomorphism(t: LinearMap, sa: StructureConstants, sb: StructureConstants) -> bool:
+    """True iff T is invertible and multiplicative from table A to table B."""
     if sa.ring != sb.ring or sa.ring != t.ring:
         raise ValueError("ring mismatch")
     if sa.dim != sb.dim or t.dim != sa.dim:
@@ -211,76 +202,3 @@ def is_algebra_isomorphism(t: LinearMap, a, b) -> bool:
         return False
     # T is multiplicative iff T^-1 ((T b_i)(T b_j)) = b_i b_j for all i, j
     return sb.rebase(ech, t.columns).table == sa.table
-
-
-def decide_isomorphism(a: AbstractAlgebra, b: AbstractAlgebra):
-    """A poset isomorphism between the recovered posets, or None."""
-    if a.dim != b.dim:
-        return None
-    pa, _, _ = reconstruct_poset(a)
-    pb, _, _ = reconstruct_poset(b)
-    return find_isomorphism(pa, pb)
-
-
-MAX_EXHAUSTIVE_DIM = 4
-
-
-def enumerate_isomorphisms_exhaustive(a, b):
-    """All algebra isomorphisms A -> B over F_2 by brute force (dim <= 4).
-
-    Scans all 2^(d^2) candidate matrices using bitmask arithmetic.
-    """
-    sa = a.sc if isinstance(a, AbstractAlgebra) else structure_constants(a)
-    sb = b.sc if isinstance(b, AbstractAlgebra) else structure_constants(b)
-    ring = sa.ring
-    if ring != sb.ring or ring.name != "Fp:2":
-        raise CapabilityError("exhaustive scan is supported over F_2 only")
-    if sa.dim != sb.dim:
-        return []
-    d = sa.dim
-    if d > MAX_EXHAUSTIVE_DIM:
-        raise CapabilityError(
-            f"exhaustive scan budget is dim <= {MAX_EXHAUSTIVE_DIM} (got {d})"
-        )
-    # bitmask tables: product of basis i, j as a d-bit mask
-    amask = [[0] * d for _ in range(d)]
-    bmask = [[0] * d for _ in range(d)]
-    for (i, j), entry in sa.table.items():
-        for k, c in entry:
-            if c:
-                amask[i][j] |= 1 << k
-    for (i, j), entry in sb.table.items():
-        for k, c in entry:
-            if c:
-                bmask[i][j] |= 1 << k
-
-    def mul_b(u, v):
-        w = 0
-        for i in range(d):
-            if u >> i & 1:
-                row = bmask[i]
-                for j in range(d):
-                    if v >> j & 1:
-                        w ^= row[j]
-        return w
-
-    found = []
-    one = ring.one()
-    for code in range(1 << (d * d)):
-        cols = [(code >> (d * i)) & ((1 << d) - 1) for i in range(d)]
-
-        def apply_t(mask):
-            w = 0
-            for i in range(d):
-                if mask >> i & 1:
-                    w ^= cols[i]
-            return w
-
-        multiplicative = all(
-            apply_t(amask[i][j]) == mul_b(cols[i], cols[j]) for i in range(d) for j in range(d)
-        )
-        if multiplicative:
-            t = LinearMap(ring, [{r: one for r in range(d) if cols[j] >> r & 1} for j in range(d)])
-            if t.column_echelon() is not None:
-                found.append(t)
-    return found

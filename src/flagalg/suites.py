@@ -140,7 +140,7 @@ def suite_reconstruction(ctx: AlgebraContext, seed: int):
         ]
     counts = None
     try:
-        recovered, elements, cover_lifts = reconstruct_poset(AbstractAlgebra.from_context(ctx))
+        recovered, elements, cover_lifts = reconstruct_poset(AbstractAlgebra(structure_constants(ctx)))
         ok = len(elements) == poset.size and len(cover_lifts) == len(poset.covers)
         detail = {
             "elements": len(elements),

@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from isomorphism_oracle import enumerate_isomorphisms_exhaustive
 
 from flagalg.algebra import (
     AlgebraContext,
@@ -32,7 +33,6 @@ from flagalg.linalg import LinearMap, span
 from flagalg.posets import antichain, chain, enumerate_posets, find_isomorphism
 from flagalg.reconstruction import (
     AbstractAlgebra,
-    enumerate_isomorphisms_exhaustive,
     induced_isomorphism,
     reconstruct_poset,
     scramble,
@@ -150,10 +150,10 @@ def test_criterion_5_quotient_idempotent_counts():
         ctx = AlgebraContext(p, 3, Q)
         sc = structure_constants(ctx)
         c1, c2, c3 = z_chain(ctx)
-        elems = primitive_idempotents(quotient(sc, ideal_J(ctx, 0), c1))
+        elems = primitive_idempotents(quotient(sc, ideal_J(ctx, 0), c1).sc)
         assert len(elems) == p.size, p
         if c2.rank > c3.rank:
-            covs = primitive_idempotents(quotient(sc, c2, c3))
+            covs = primitive_idempotents(quotient(sc, c2, c3).sc)
             assert len(covs) == len(p.covers), p
         else:
             assert not p.covers, p
@@ -165,7 +165,7 @@ def test_criterion_6_reconstruction_round_trip():
     unscrambled tables give back the exact cover set."""
     for p in all_posets_up_to(5):
         ctx = AlgebraContext(p, 3, Q)
-        rec, _, _ = reconstruct_poset(AbstractAlgebra.from_context(ctx))
+        rec, _, _ = reconstruct_poset(AbstractAlgebra(structure_constants(ctx)))
         assert rec.covers == p.covers, p
         for seed in (1, 2, 3):
             rec, _, _ = reconstruct_poset(scramble(ctx, seed))
@@ -177,11 +177,13 @@ def test_criterion_7_isomorphism_rigidity_exhaustive():
     """Exhaustive F2 scan: the only algebra automorphisms are the induced
     poset maps (1 for the 2-chain, 2 for the 2-antichain)."""
     ctx = AlgebraContext(chain(2), 3, F2)
-    isos = enumerate_isomorphisms_exhaustive(ctx, ctx)
+    sc = structure_constants(ctx)
+    isos = enumerate_isomorphisms_exhaustive(sc, sc)
     assert isos == [induced_isomorphism((0, 1), ctx, ctx)]
 
     ctx = AlgebraContext(antichain(2), 3, F2)
-    isos = enumerate_isomorphisms_exhaustive(ctx, ctx)
+    sc = structure_constants(ctx)
+    isos = enumerate_isomorphisms_exhaustive(sc, sc)
     assert len(isos) == 2
     assert set(isos) == {
         induced_isomorphism((0, 1), ctx, ctx),

@@ -9,18 +9,14 @@ import time
 from fractions import Fraction
 
 import pytest
+from isomorphism_oracle import enumerate_isomorphisms_exhaustive
 
 from flagalg import cli, derivations, reconstruction, suites
 from flagalg.algebra import AlgebraContext, StructureConstants, structure_constants
 from flagalg.lattice import SplittingError
 from flagalg.linalg import span
 from flagalg.posets import Poset, chain, enumerate_posets
-from flagalg.reconstruction import (
-    AbstractAlgebra,
-    ReconstructionError,
-    enumerate_isomorphisms_exhaustive,
-    scramble,
-)
+from flagalg.reconstruction import ReconstructionError, scramble
 from flagalg.rings import PrimeField, Rationals, ring_from_spec
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -129,7 +125,7 @@ class TestCheck:
 
     def test_splitting_failure_is_reported(self, monkeypatch):
         # a flag algebra always splits, so a splitting failure is a fail
-        def broken(q):
+        def broken(sc):
             raise SplittingError("probe has a repeated root")
 
         monkeypatch.setattr(reconstruction, "primitive_idempotents", broken)
@@ -246,14 +242,21 @@ class TestExitCodes:
     def test_ring_mismatch_is_input_error(self, zero_table):
         assert run_cli("reconstruct", zero_table, "--ring", "Fp:2").returncode == 2
 
-    @pytest.mark.parametrize("ring", ["Z", "Zm:6"])
+    @pytest.mark.parametrize("ring", ["Z", "Zm:6", "Zm:9"])
     def test_reconstruct_unsupported_ring_is_input_error(self, tmp_path, ring):
+        # the ring checks that AbstractAlgebra (indecomposable) and
+        # reconstruct_poset (field) own; Zm:9 is indecomposable, not a field
+        message = {
+            "Z": "reconstruction requires a field (got Z); re-run over Q",
+            "Zm:6": "Zm:6 is decomposable; reconstruction theory requires an indecomposable coefficient ring",
+            "Zm:9": "reconstruction requires a field (got Zm:9); re-run over Q",
+        }[ring]
         f = tmp_path / "table.json"
         f.write_text(structure_constants(AlgebraContext(chain(2), 3, ring_from_spec(ring))).to_json())
         r = run_cli("reconstruct", str(f), "--ring", ring)
         assert r.returncode == 2
         assert r.stdout == ""
-        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+        assert r.stderr == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "table",
@@ -430,7 +433,7 @@ class TestReconstruct:
             else:
                 assert code == 0
                 assert (report["size"], report["covers"]) == (2, [[0, 1]])
-                if not enumerate_isomorphisms_exhaustive(AbstractAlgebra(flipped), ctx):
+                if not enumerate_isomorphisms_exhaustive(flipped, structure_constants(ctx)):
                     uncertified.append((i, j, k))
         # reconstruct does not certify its answer: these flipped tables are
         # not isomorphic to I^3(2-chain), yet it reports the 2-chain

@@ -39,8 +39,9 @@ def test_scrambled_table_and_idempotents_are_int_or_fraction(seed):
     scalars += [c for vec in elements + cover_lifts for c in vec.values()]
     # the quotient coordinates the idempotents are split in
     c1 = commutator_chain(algebra.sc)[0]
-    eye = [{i: Q.one()} for i in range(algebra.dim)]
-    idems = primitive_idempotents(quotient(algebra.sc, span(eye, Q, algebra.dim), c1))
+    d = algebra.sc.dim
+    eye = [{i: Q.one()} for i in range(d)]
+    idems = primitive_idempotents(quotient(algebra.sc, span(eye, Q, d), c1).sc)
     scalars += [c for vec in idems for c in vec.values()]
     assert scalars
     assert {type(c) for c in scalars} <= {int, Fraction}

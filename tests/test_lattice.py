@@ -162,10 +162,10 @@ class TestPrimitiveIdempotents:
         for p in enumerate_posets(m):
             ctx = AlgebraContext(p, 3, Q)
             c1, c2, c3 = z_chain(ctx)
-            elems = primitive_idempotents(quotient(structure_constants(ctx), ideal_J(ctx, 0), c1))
+            elems = primitive_idempotents(quotient(structure_constants(ctx), ideal_J(ctx, 0), c1).sc)
             assert len(elems) == p.size
             if c2.rank > c3.rank:
-                covs = primitive_idempotents(quotient(structure_constants(ctx), c2, c3))
+                covs = primitive_idempotents(quotient(structure_constants(ctx), c2, c3).sc)
                 assert len(covs) == len(p.covers)
             else:
                 assert not p.covers
@@ -174,7 +174,7 @@ class TestPrimitiveIdempotents:
         ctx = AlgebraContext(DIAMOND, 3, Q)
         c1, _, _ = z_chain(ctx)
         q = quotient(structure_constants(ctx), ideal_J(ctx, 0), c1)
-        idems = primitive_idempotents(q)
+        idems = primitive_idempotents(q.sc)
         unit = q.sc.identity("left")
         total = {}
         for e in idems:
@@ -197,7 +197,7 @@ class TestPrimitiveIdempotents:
         ctx = AlgebraContext(chain(3), 3, F2)
         c1, _, _ = z_chain(ctx)
         q = quotient(structure_constants(ctx), ideal_J(ctx, 0), c1)
-        assert len(primitive_idempotents(q)) == 3
+        assert len(primitive_idempotents(q.sc)) == 3
 
     @pytest.mark.parametrize("field", [Q, PrimeField(3), PrimeField(5), PrimeField(262139)])
     def test_conjugated_split_algebra_splits_into_the_preimages(self, field):

@@ -221,7 +221,7 @@ def test_echelon_tags_solve_consistent_and_inconsistent():
 def test_linear_map_inverse():
     m = from_rows(Q, [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]])
     inv = m.inverse()
-    ident = [m.apply(inv.column(j)) for j in range(2)]
+    ident = [m.apply(col) for col in inv.columns]
     assert ident == [{0: Fraction(1)}, {1: Fraction(1)}]
     assert from_rows(Q, [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]).inverse() is None
 

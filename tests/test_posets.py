@@ -130,7 +130,7 @@ class TestConstruction:
 
     def test_from_covers_closure(self):
         p = Poset.from_covers(3, [(0, 1), (1, 2)])
-        assert p.le(0, 2)
+        assert p.leq[0][2]
 
     def test_from_covers_cycle(self):
         with pytest.raises(PosetError, match="cycle"):
@@ -170,7 +170,7 @@ class TestMultichains:
             brute = [
                 t
                 for t in itertools.product(range(4), repeat=n)
-                if all(p.le(t[i], t[i + 1]) for i in range(n - 1))
+                if all(p.leq[t[i]][t[i + 1]] for i in range(n - 1))
             ]
             assert p.multichains(n) == sorted(brute)
 
@@ -188,7 +188,7 @@ class TestParse:
     def test_parse_basic(self):
         p = parse_poset("elements: x y z\ncovers:\nx y\ny z\n")
         assert p.names == ("x", "y", "z")
-        assert p.le(0, 2)
+        assert p.leq[0][2]
 
     def test_parse_errors(self):
         with pytest.raises(PosetError):
@@ -217,7 +217,7 @@ class TestIsomorphism:
         assert phi is not None
         for x in range(4):
             for y in range(4):
-                assert p.le(x, y) == q.le(phi[x], phi[y])
+                assert p.leq[x][y] == q.leq[phi[x]][phi[y]]
 
     def test_v_and_wedge_not_isomorphic(self):
         v = Poset.from_covers(3, [(0, 1), (0, 2)])
