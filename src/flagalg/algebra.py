@@ -7,7 +7,7 @@ multichain x = (x_1..x_n):
 The closed-form basis product and the anonymous structure-constants table
 are derived from it.  The oracle table, a StructureConstants read off the
 same interval products without the closed form, is what they are checked
-against.
+against; `convolve` multiplies elements through it.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from .rings import Ring, ring_from_spec
 class AlgebraContext:
     """Immutable bundle: poset, flag order n >= 2, ring, ordered basis.
 
-    Caches, per basis tuple x, the interval product I(x) as a list of
-    (left-index, right-index) pairs feeding the convolution, where
-    left = (x_1, y) and right = (y, x_n) for y in I(x).
+    Construction enumerates the basis only.  The closed-form table
+    (`structure_constants`) and the oracle table (`oracle_table`) are each
+    built on first use and cached.
     """
 
     def __init__(self, poset: Poset, n: int, ring: Ring):
@@ -37,30 +37,22 @@ class AlgebraContext:
         self.basis = tuple(poset.multichains(n))
         self.index = {t: i for i, t in enumerate(self.basis)}
         self.dim = len(self.basis)
-        self._conv_pairs = self._build_conv_pairs()
         self._sc = None
         self._oracle = None
 
-    def _build_conv_pairs(self):
-        p, n, index = self.poset, self.n, self.index
-        pairs = []
-        for t in self.basis:
-            iv = [sorted(p.interval(t[i], t[i + 1])) for i in range(n - 1)]
-            mids = itertools.product(*iv)
-            pairs.append(tuple((index[(t[0],) + m], index[m + (t[n - 1],)]) for m in mids))
-        return tuple(pairs)
-
     def oracle_table(self) -> "StructureConstants":
-        """The table of the products e_i e_j, built once from the convolution
-        pairs alone: each pair (l, r) feeding basis index k adds one at k to
-        entry (l, r).  It is an independent check of `basis_product` and the
-        structure constants."""
+        """The table of the products e_i e_j, built once from the defining
+        convolution alone: for each basis tuple x, with index k, and each y
+        in its interval product, the pair ((x_1, y), (y, x_n)) gains one at
+        k.  It never reads `basis_product`, so it is an independent check of
+        the closed form and the structure constants."""
         if self._oracle is None:
-            ring = self.ring
+            p, n, index, ring = self.poset, self.n, self.index, self.ring
             one, table = ring.one(), {}
-            for k, pairs in enumerate(self._conv_pairs):
-                for key in pairs:
-                    entry = table.setdefault(key, {})
+            for k, t in enumerate(self.basis):
+                iv = [sorted(p.interval(t[i], t[i + 1])) for i in range(n - 1)]
+                for m in itertools.product(*iv):
+                    entry = table.setdefault((index[(t[0],) + m], index[m + (t[n - 1],)]), {})
                     entry[k] = ring.add(entry.get(k, ring.zero()), one)
             table = {key: e.items() for key, e in table.items()}
             self._oracle = StructureConstants(self.dim, ring, table)
@@ -82,23 +74,9 @@ class AlgebraContext:
 
 
 def convolve(ctx: AlgebraContext, f: dict, g: dict) -> dict:
-    """The defining pointwise convolution product of two elements of ctx."""
-    ring = ctx.ring
-    zero = ring.zero()
-    out = {}
-    for k, pairs in enumerate(ctx._conv_pairs):
-        acc = zero
-        for (li, ri) in pairs:
-            a = f.get(li)
-            if a is None:
-                continue
-            b = g.get(ri)
-            if b is None:
-                continue
-            acc = ring.add(acc, ring.mul(a, b))
-        if acc != zero:
-            out[k] = acc
-    return out
+    """The defining convolution product of two elements of ctx, read off the
+    oracle table."""
+    return ctx.oracle_table().multiply(f, g)
 
 
 def basis_product(ctx: AlgebraContext, x, y) -> dict:

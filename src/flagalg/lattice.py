@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from . import poly
 from .algebra import AlgebraContext, StructureConstants, structure_constants
-from .linalg import SparseEchelon, Submodule, span, sub_scaled
+from .linalg import LinearMap, SparseEchelon, Submodule, span, sub_scaled
 from .rings import CapabilityError
 
 
@@ -120,11 +120,7 @@ class QuotientAlgebra:
 
     def lift(self, coords):
         """Ambient representative of a quotient coordinate vector."""
-        ring = self.ring
-        out = {}
-        for k, c in coords.items():
-            sub_scaled(out, ring.neg(c), self.transversal[k], ring)
-        return out
+        return LinearMap(self.ring, self.transversal).apply(coords)
 
 
 def quotient(sc: StructureConstants, u: Submodule, v: Submodule) -> QuotientAlgebra:
@@ -202,11 +198,8 @@ def _split(sc, unit, t):
     total = {}
     for lam in roots:
         q = poly.quo(f, [ring.neg(lam), one], ring)
-        u = {}
-        for c, power in zip(q, powers):
-            sub_scaled(u, ring.neg(c), power, ring)
         qinv = ring.inv(ring.coerce(poly.value(q, lam)))
-        u = {i: ring.mul(qinv, x) for i, x in u.items()}
+        u = LinearMap(ring, powers).apply({i: ring.mul(qinv, c) for i, c in enumerate(q)})
         if sc.multiply(u, u) != u:
             raise SplittingError("a Lagrange element does not square to itself")
         idems.append(u)

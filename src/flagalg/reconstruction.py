@@ -9,7 +9,7 @@ import random
 from .algebra import AlgebraContext, StructureConstants, structure_constants
 from .lattice import IdealError, SplittingError, commutator_chain, primitive_idempotents, quotient
 from .linalg import LinearMap, span, sub_scaled
-from .posets import Poset, is_order_isomorphism
+from .posets import Poset, PosetError, is_order_isomorphism
 from .rings import CapabilityError
 
 
@@ -108,7 +108,7 @@ def reconstruct_poset(a: AbstractAlgebra):
         raise ReconstructionError("duplicate cover recovered")
     try:
         poset = Poset.from_covers(m, covers)
-    except Exception as exc:
+    except PosetError as exc:
         raise ReconstructionError(f"cover closure is not a partial order: {exc}")
     if set(poset.covers) != set(covers):
         raise ReconstructionError("recovered cover relation is not its own cover set")

@@ -69,7 +69,11 @@ def is_prime_power(n: int) -> bool:
 
 
 class Ring:
-    """Base interface for an exact commutative unital ring."""
+    """Base interface for an exact commutative unital ring.
+
+    zero, one, neg and format serve every ring whose scalars are plain ints
+    or Fractions; a ring overrides them only where its scalars differ.
+    """
 
     name: str
     is_field: bool
@@ -77,11 +81,12 @@ class Ring:
     supports_submodules: bool
     is_indecomposable: bool
 
+    # 0 and 1 are canonical in every ring here, since Z/m needs m >= 2
     def zero(self):
-        raise NotImplementedError
+        return 0
 
     def one(self):
-        raise NotImplementedError
+        return 1
 
     def add(self, a, b):
         raise NotImplementedError
@@ -93,7 +98,7 @@ class Ring:
         raise NotImplementedError
 
     def neg(self, a):
-        raise NotImplementedError
+        return -a
 
     def inv(self, a):
         raise NotImplementedError
@@ -103,7 +108,7 @@ class Ring:
         raise NotImplementedError
 
     def format(self, a) -> str:
-        raise NotImplementedError
+        return str(a)
 
     def parse(self, s: str):
         raise NotImplementedError
@@ -136,12 +141,6 @@ class Rationals(Ring):
     supports_submodules = True
     is_indecomposable = True
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def add(self, a, b):
         return _exact(a + b)
 
@@ -151,9 +150,6 @@ class Rationals(Ring):
     def mul(self, a, b):
         return _exact(a * b)
 
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
@@ -161,9 +157,6 @@ class Rationals(Ring):
 
     def coerce(self, k):
         return _exact(k)
-
-    def format(self, a):
-        return str(a)
 
     def parse(self, s):
         # Fraction("1e800000") would build 10**800000 from 8 characters
@@ -181,12 +174,6 @@ class Integers(Ring):
     supports_submodules = True
     is_indecomposable = True
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def add(self, a, b):
         return a + b
 
@@ -196,9 +183,6 @@ class Integers(Ring):
     def mul(self, a, b):
         return a * b
 
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a in (1, -1):
             return a
@@ -206,9 +190,6 @@ class Integers(Ring):
 
     def coerce(self, k):
         return int(k)
-
-    def format(self, a):
-        return str(a)
 
     def parse(self, s):
         return int(s)
@@ -226,12 +207,6 @@ class ModularRing(Ring):
         self.modulus = m
         self.name = f"Zm:{m}"
         self.is_indecomposable = is_prime_power(m)
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1 % self.modulus
 
     def add(self, a, b):
         return (a + b) % self.modulus

@@ -485,6 +485,15 @@ class TestDerivations:
         assert r.stdout == (DATA / "derivations_chain3_n2_q.json").read_text()
         assert r.stderr == "derivations: n=2, kernel rank 5\n"
 
+    def test_z_report_is_pinned(self, tmp_path):
+        # the same maps over Z, whose "-1" entries go through Ring.format
+        f = tmp_path / "chain3.poset"
+        f.write_text("elements: a b c\ncovers:\na b\nb c\n")
+        r = run_cli("derivations", str(f), "--n", "2", "--ring", "Z")
+        assert r.returncode == 0
+        assert r.stdout == (DATA / "derivations_chain3_n2_z.json").read_text()
+        assert r.stderr == "derivations: n=2, kernel rank 5\n"
+
     def test_higher_n_is_flagged_unverified(self, chain2):
         r = run_cli("derivations", chain2, "--n", "4")
         assert r.returncode == 0

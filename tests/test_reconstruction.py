@@ -165,6 +165,18 @@ class TestGuards:
         with pytest.raises(ReconstructionError):
             reconstruct_poset(AbstractAlgebra(sc))
 
+    def test_cover_closure_bug_is_not_reported_as_bad_input(self, monkeypatch):
+        # only the PosetError of a cyclic cover relation means "not a partial
+        # order"; any other error in that step is a bug and propagates
+        a = AbstractAlgebra(structure_constants(AlgebraContext(chain(2), 3, Q)))
+
+        def broken(cls, size, cover_pairs, names=None):
+            raise RuntimeError("from_covers failed")
+
+        monkeypatch.setattr(Poset, "from_covers", classmethod(broken))
+        with pytest.raises(RuntimeError, match="from_covers failed"):
+            reconstruct_poset(a)
+
     def test_conjugation_by_identity_is_identity(self):
         ctx = AlgebraContext(V_POSET, 3, Q)
         a = conjugate_table(ctx, LinearMap.identity(Q, ctx.dim))

@@ -17,7 +17,9 @@ from flagalg.rings import (
     ring_from_spec,
 )
 
-RINGS = [Rationals(), Integers(), PrimeField(5), ModularRing(6), ModularRing(8)]
+# F_2 is the smallest modulus: neg is the identity there, and zero and one
+# are the inherited Ring defaults
+RINGS = [Rationals(), Integers(), PrimeField(2), PrimeField(5), ModularRing(6), ModularRing(8)]
 
 
 def elements_of(ring):
