@@ -104,8 +104,7 @@ class StructureConstants:
 
     table[(i, j)] is a tuple of (k, c), sorted by k, with c the nonzero
     coefficient of basis vector k in b_i * b_j; absent pairs have zero
-    product, so equal tables compare equal with `==`.  `chain` holds the
-    commutator chain once `lattice.commutator_chain` computed it.
+    product, so equal tables compare equal with `==`.
     """
 
     def __init__(self, dim: int, ring: Ring, table: dict):
@@ -115,7 +114,6 @@ class StructureConstants:
             (key, tuple(sorted((k, c) for (k, c) in val if c))) for key, val in table.items()
         )
         self.table = {key: val for key, val in entries if val}
-        self.chain = None
 
     def multiply(self, u: dict, v: dict) -> dict:
         """Product of two sparse vectors."""

@@ -23,6 +23,7 @@ from .rings import CapabilityError, ring_from_spec
 EXIT_OK = 0
 EXIT_THEOREM_VIOLATION = 1
 EXIT_INPUT_ERROR = 2
+MAX_FLAG_ORDER = 8  # the largest --n; like --all-up-to's 5, it keeps every basis small
 
 
 class CliError(Exception):
@@ -57,6 +58,16 @@ def _load_poset(path):
         raise CliError(f"cannot read poset file: {exc}")
     except PosetError as exc:
         raise CliError(f"poset parse error: {exc}")
+
+
+def _flag_context(args):
+    from .algebra import AlgebraContext
+
+    ring = ring_from_spec(args.ring)
+    poset = _load_poset(args.poset)
+    if args.n > MAX_FLAG_ORDER:
+        raise CliError(f"--n must be at most {MAX_FLAG_ORDER}")
+    return AlgebraContext(poset, args.n, ring)
 
 
 def cmd_check(args):
@@ -140,12 +151,9 @@ def cmd_reconstruct(args):
 
 
 def cmd_derivations(args):
-    from .algebra import AlgebraContext
     from .derivations import check_derivation, derivation_basis, moved_basis_tuple
 
-    ring = ring_from_spec(args.ring)
-    poset = _load_poset(args.poset)
-    ctx = AlgebraContext(poset, args.n, ring)
+    ctx = _flag_context(args)
     basis = derivation_basis(ctx)
     violation = None
     if args.n == 3 and basis:
@@ -157,9 +165,9 @@ def cmd_derivations(args):
         }
     elif not all(check_derivation(ctx, t) for t in basis):
         raise CliError("internal error: kernel vector fails the direct check")
-    fmt = ring.format
+    fmt = ctx.ring.format
     report = {
-        "ring": ring.name,
+        "ring": ctx.ring.name,
         "n": args.n,
         "dim": ctx.dim,
         "kernel_rank": len(basis),
@@ -197,20 +205,17 @@ def _parse_element(ctx, text):
 
 
 def cmd_multiply(args):
-    from .algebra import AlgebraContext, convolve
+    from .algebra import convolve
 
-    ring = ring_from_spec(args.ring)
-    poset = _load_poset(args.poset)
-    ctx = AlgebraContext(poset, args.n, ring)
+    ctx = _flag_context(args)
     f = _parse_element(ctx, args.lhs)
     g = _parse_element(ctx, args.rhs)
     prod = convolve(ctx, f, g)
-    fmt = ring.format
     report = {
-        "ring": ring.name,
+        "ring": ctx.ring.name,
         "n": args.n,
         "product": [
-            [list(ctx.basis[i]), fmt(v)] for i, v in sorted(prod.items())
+            [list(ctx.basis[i]), ctx.ring.format(v)] for i, v in sorted(prod.items())
         ],
     }
     return EXIT_OK, report, f"product has {len(prod)} nonzero coefficients"

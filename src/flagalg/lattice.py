@@ -43,19 +43,15 @@ def commutator_chain(sc: StructureConstants):
     """(C1, C2, C3) with C1 = [A, A] and C(k+1) = [Ck, Ck], as Submodules.
 
     Brackets are antisymmetric, so the pairs i < j of each basis suffice.
-    The chain is kept on the table, so every caller sharing a table (the
-    `check` suites of one context) computes it once.
     """
-    if sc.chain is None:
-        ring, d = sc.ring, sc.dim
-        basis = [{i: ring.one()} for i in range(d)]
-        chain = []
-        for _ in range(3):
-            brackets = [sc.commutator_vec(u, v) for i, u in enumerate(basis) for v in basis[i + 1 :]]
-            chain.append(span(brackets, ring, d))
-            basis = chain[-1].basis
-        sc.chain = tuple(chain)
-    return sc.chain
+    ring, d = sc.ring, sc.dim
+    basis = [{i: ring.one()} for i in range(d)]
+    chain = []
+    for _ in range(3):
+        brackets = [sc.commutator_vec(u, v) for i, u in enumerate(basis) for v in basis[i + 1 :]]
+        chain.append(span(brackets, ring, d))
+        basis = chain[-1].basis
+    return tuple(chain)
 
 
 def z_chain(ctx: AlgebraContext):

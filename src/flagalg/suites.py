@@ -12,7 +12,7 @@ from .derivations import derivation_basis, moved_basis_tuple
 from .lattice import ideal_J, mul_submodule, z_chain
 from .linalg import span
 from .posets import Poset, find_isomorphism
-from .reconstruction import AbstractAlgebra, ReconstructionError, reconstruct_poset, scramble
+from .reconstruction import ReconstructionError, reconstruct_poset, scramble
 from .rings import Ring
 
 
@@ -125,7 +125,7 @@ def suite_submodules(ctx: AlgebraContext):
 
 def suite_reconstruction(ctx: AlgebraContext, seed: int):
     """idempotent-counts and reconstruction-roundtrip from one reconstruction
-    of the plain table and one of a scrambled table."""
+    of a scrambled table, whose recovered poset must be isomorphic to P."""
     theorems = ["idempotent-counts", "reconstruction-roundtrip"]
     poset, ring = ctx.poset, ctx.ring
     if not ring.is_field:
@@ -138,27 +138,22 @@ def suite_reconstruction(ctx: AlgebraContext, seed: int):
             ),
             _capability(theorems[1], f"reconstruction requires a field (got {ring.name})"),
         ]
-    counts = None
     try:
-        recovered, elements, cover_lifts = reconstruct_poset(AbstractAlgebra(structure_constants(ctx)))
-        ok = len(elements) == poset.size and len(cover_lifts) == len(poset.covers)
-        detail = {
-            "elements": len(elements),
-            "expected_elements": poset.size,
-            "covers": len(cover_lifts),
-            "expected_covers": len(poset.covers),
-        }
-        counts = _entry(theorems[0], "pass" if ok else "fail", None if ok else detail)
-        if set(recovered.covers) != set(poset.covers):
-            detail = {"expected_covers": list(poset.covers), "got": list(recovered.covers)}
-            return [counts, _entry(theorems[1], "fail", detail)]
-        rec2, _, _ = reconstruct_poset(scramble(ctx, seed))
+        recovered, elements, cover_lifts = reconstruct_poset(scramble(ctx, seed))
     except ReconstructionError as exc:
         # a flag algebra always splits, so a splitting failure is a fail as well
         failed = {"diagnostic": str(exc)}
-        return [counts or _entry(theorems[0], "fail", failed), _entry(theorems[1], "fail", failed)]
-    if find_isomorphism(rec2, poset) is None:
-        detail = {"scrambled_covers": list(rec2.covers), "expected_covers": list(poset.covers)}
+        return [_entry(theorems[0], "fail", failed), _entry(theorems[1], "fail", failed)]
+    ok = len(elements) == poset.size and len(cover_lifts) == len(poset.covers)
+    detail = {
+        "elements": len(elements),
+        "expected_elements": poset.size,
+        "covers": len(cover_lifts),
+        "expected_covers": len(poset.covers),
+    }
+    counts = _entry(theorems[0], "pass" if ok else "fail", None if ok else detail)
+    if find_isomorphism(recovered, poset) is None:
+        detail = {"scrambled_covers": list(recovered.covers), "expected_covers": list(poset.covers)}
         return [counts, _entry(theorems[1], "fail", detail)]
     return [counts, _entry(theorems[1], "pass")]
 

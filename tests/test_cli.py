@@ -16,7 +16,7 @@ from flagalg.algebra import AlgebraContext, StructureConstants, structure_consta
 from flagalg.lattice import SplittingError
 from flagalg.linalg import span
 from flagalg.posets import Poset, chain, enumerate_posets
-from flagalg.reconstruction import ReconstructionError, scramble
+from flagalg.reconstruction import ReconstructionError, reconstruct_poset, scramble
 from flagalg.rings import PrimeField, Rationals, ring_from_spec
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -160,6 +160,94 @@ class TestCheck:
         assert suites.suite_reconstruction(AlgebraContext(chain(2), 3, Rationals()), 0) == [
             {"theorem": "idempotent-counts", "status": "fail", "counterexample": failed},
             {"theorem": "reconstruction-roundtrip", "status": "fail", "counterexample": failed},
+        ]
+
+    def test_one_reconstruction_per_poset(self, monkeypatch):
+        # both theorems read the reconstruction of the scrambled table; the
+        # plain table is not reconstructed as well
+        tables = []
+
+        def counted(algebra):
+            tables.append(algebra.sc)
+            return reconstruct_poset(algebra)
+
+        monkeypatch.setattr(suites, "reconstruct_poset", counted)
+        ctx = AlgebraContext(chain(3), 3, Rationals())
+        assert [e["status"] for e in suites.suite_reconstruction(ctx, 0)] == ["pass", "pass"]
+        assert len(tables) == 1
+        assert tables[0].table != structure_constants(ctx).table
+
+    def test_power_associativity_failure_is_reported(self, chain2, monkeypatch, capsys):
+        monkeypatch.setattr(suites, "power_assoc_witness", lambda ctx: None)
+        entry = suites.suite_flag_algebra(AlgebraContext(chain(2), 3, Rationals()))[1]
+        assert entry == {
+            "theorem": "power-associativity",
+            "status": "fail",
+            "counterexample": "third-power associativity held unexpectedly",
+        }
+        assert cli.main(["check", chain2]) == 1
+        assert capsys.readouterr().err == "check: 1 poset(s) over Q: 8/9 theorem checks passed\n"
+
+    def test_antichain_nonassociativity_is_reported(self):
+        # e0 e0 = e1 and e1 e0 = e0, so (e0 e0) e0 = e0 but e0 (e0 e0) = 0
+        ctx = AlgebraContext(Poset.from_covers(2, []), 3, Rationals())
+        ctx._oracle = StructureConstants(2, ctx.ring, {(0, 0): [(1, 1)], (1, 0): [(0, 1)]})
+        entry = suites.suite_flag_algebra(ctx)[1]
+        assert entry == {"theorem": "power-associativity", "status": "fail"}
+
+    def test_one_sided_identity_is_reported(self, monkeypatch):
+        def identity(sc, side):
+            return {0: sc.ring.one()} if side == "left" else None
+
+        monkeypatch.setattr(StructureConstants, "identity", identity)
+        entry = suites.suite_flag_algebra(AlgebraContext(chain(2), 3, Rationals()))[2]
+        assert entry == {
+            "theorem": "no-one-sided-identity",
+            "status": "fail",
+            "counterexample": {"left": True, "right": False},
+        }
+
+    def test_wrong_commutator_chain_is_reported(self, monkeypatch):
+        # C1 = C2 = C3 = A, against rank J1 = 2, J2 = 0 and
+        # span{e_001 + e_011} + J2 of rank 1 in the 2-chain's algebra
+        def whole_algebra(ctx):
+            whole = span([{i: ctx.ring.one()} for i in range(ctx.dim)], ctx.ring, ctx.dim)
+            return whole, whole, whole
+
+        monkeypatch.setattr(suites, "z_chain", whole_algebra)
+        assert suites.suite_submodules(AlgebraContext(chain(2), 3, Rationals())) == [
+            {"theorem": "commutator-is-J1", "status": "fail", "counterexample": {"rank_C1": 4, "rank_J1": 2}},
+            {
+                "theorem": "zchain-C2-span",
+                "status": "fail",
+                "counterexample": {"rank_C2": 4, "rank_span": 1, "rank_C1sq": 4},
+            },
+            {"theorem": "zchain-C3-is-J2", "status": "fail", "counterexample": {"rank_C3": 4, "rank_J2": 0}},
+        ]
+
+    def test_wrong_idempotent_counts_are_reported(self, monkeypatch):
+        # the recovered poset is right, but no lifts came with it
+        monkeypatch.setattr(suites, "reconstruct_poset", lambda algebra: (chain(2), [], []))
+        assert suites.suite_reconstruction(AlgebraContext(chain(2), 3, Rationals()), 0) == [
+            {
+                "theorem": "idempotent-counts",
+                "status": "fail",
+                "counterexample": {"elements": 0, "expected_elements": 2, "covers": 0, "expected_covers": 1},
+            },
+            {"theorem": "reconstruction-roundtrip", "status": "pass"},
+        ]
+
+    def test_roundtrip_mismatch_is_reported(self, monkeypatch):
+        # the V with 0 < 1 and 0 < 2; seed 1 relabels it as 1 < 0, 1 < 2
+        monkeypatch.setattr(suites, "find_isomorphism", lambda p, q: None)
+        ctx = AlgebraContext(Poset.from_covers(3, [(0, 1), (0, 2)]), 3, Rationals())
+        assert suites.suite_reconstruction(ctx, 1) == [
+            {"theorem": "idempotent-counts", "status": "pass"},
+            {
+                "theorem": "reconstruction-roundtrip",
+                "status": "fail",
+                "counterexample": {"scrambled_covers": [(1, 0), (1, 2)], "expected_covers": [(0, 1), (0, 2)]},
+            },
         ]
 
 
@@ -307,6 +395,31 @@ class TestExitCodes:
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("error: malformed element") and r.stderr.count("\n") == 1
         assert "exponent notation" in r.stderr
+
+    @pytest.mark.parametrize("command", ["multiply", "derivations"])
+    def test_flag_order_is_bounded(self, chain2, capsys, command):
+        # the 2-chain's basis has n + 1 tuples, but building it is about
+        # cubic in n: without the bound, --n 1000 took 6 s on a 2-core VM
+        empty = ["--lhs", "[]", "--rhs", "[]"] if command == "multiply" else []
+        start = time.perf_counter()
+        assert cli.main([command, chain2, "--n", "100000", *empty]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", f"error: --n must be at most {cli.MAX_FLAG_ORDER}\n")
+        assert cli.main([command, chain2, "--n", str(cli.MAX_FLAG_ORDER), *empty]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == cli.MAX_FLAG_ORDER
+
+    @pytest.mark.parametrize("command", ["multiply", "derivations"])
+    def test_flag_order_is_checked_after_ring_and_file(self, chain2, capsys, command):
+        empty = ["--lhs", "[]", "--rhs", "[]"] if command == "multiply" else []
+        for argv, err in [
+            ([chain2, "--n", "100000", "--ring", "R"], "error: unknown ring spec"),
+            (["/nonexistent/file.poset", "--n", "100000"], "error: cannot read poset file"),
+            ([chain2, "--n", "1"], "error: flag order n must be >= 2\n"),
+        ]:
+            assert cli.main([command, *argv, *empty]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert captured.err.startswith(err)
 
     def test_deeply_nested_table_is_input_error(self, tmp_path):
         # the JSON decoder recurses once per level and gives up near 1,000

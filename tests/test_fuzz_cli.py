@@ -91,7 +91,11 @@ def poset_files(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(poset=poset_files(), ring=st.sampled_from(RINGS), n=mostly(st.integers(2, 4), st.integers(-1, 1)))
+@given(
+    poset=poset_files(),
+    ring=st.sampled_from(RINGS),
+    n=mostly(st.integers(2, 4), st.integers(-1, 1) | st.integers(cli.MAX_FLAG_ORDER + 1, 10**6)),
+)
 def test_poset_text(poset, ring, n):
     run_main("multiply", poset, f"--ring={ring}", f"--n={n}", "--lhs=[]", "--rhs=[]")
 
