@@ -24,6 +24,9 @@ EXIT_OK = 0
 EXIT_THEOREM_VIOLATION = 1
 EXIT_INPUT_ERROR = 2
 MAX_FLAG_ORDER = 8  # the largest --n; like --all-up-to's 5, it keeps every basis small
+# the largest algebra `derivations` solves: its Leibniz system grows faster than
+# the dim, and on a 2-core VM the 7-chain took 3.7 s at --n 4 (dim 210), 13.5 s at --n 5
+MAX_DERIVATION_DIM = 210
 
 
 class CliError(Exception):
@@ -154,6 +157,8 @@ def cmd_derivations(args):
     from .derivations import check_derivation, derivation_basis, moved_basis_tuple
 
     ctx = _flag_context(args)
+    if ctx.dim > MAX_DERIVATION_DIM:
+        raise CliError(f"derivations need dim at most {MAX_DERIVATION_DIM} (this algebra has dim {ctx.dim})")
     basis = derivation_basis(ctx)
     violation = None
     if args.n == 3 and basis:

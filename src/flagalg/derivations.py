@@ -103,7 +103,9 @@ def check_derivation(ctx: AlgebraContext, t: LinearMap) -> bool:
 
     Products are read off the context's convolution table, independently of
     the structure-constants table used to assemble the solver's system, and
-    only the nonzero entries of T's columns are visited.
+    only the nonzero entries of T's columns are visited.  A pair (i, j) has
+    a term only if b_i b_j != 0, or b_p b_j != 0 for some p in T's column i,
+    or b_i b_p != 0 for some p in T's column j; no other pair is visited.
     """
     if t.dim != ctx.dim:
         raise ValueError(f"dimension mismatch: map is {t.dim}, algebra is {ctx.dim}")
@@ -111,16 +113,22 @@ def check_derivation(ctx: AlgebraContext, t: LinearMap) -> bool:
     zero = ring.zero()
     oracle = ctx.oracle_table().table
     cols = [col.items() for col in t.columns]
-    for i in range(ctx.dim):
-        for j in range(ctx.dim):
-            # T(b_i b_j) - T(b_i) b_j - b_i T(b_j) as (scalar, sparse vector) terms
-            terms = [(c, cols[k]) for k, c in oracle.get((i, j), ())]
-            terms += [(ring.neg(v), oracle.get((p, j), ())) for p, v in cols[i]]
-            terms += [(ring.neg(v), oracle.get((i, p), ())) for p, v in cols[j]]
-            diff = {}
-            for a, vec in terms:
-                for q, c in vec:
-                    diff[q] = ring.add(diff.get(q, zero), ring.mul(a, c))
-            if any(v != zero for v in diff.values()):
-                return False
+    holders = [[] for _ in range(ctx.dim)]  # holders[p]: the columns of T with a row-p entry
+    for i, col in enumerate(cols):
+        for p, _v in col:
+            holders[p].append(i)
+    pairs = set(oracle)
+    for a, b in oracle:
+        pairs.update([(i, b) for i in holders[a]] + [(a, j) for j in holders[b]])
+    for i, j in pairs:
+        # T(b_i b_j) - T(b_i) b_j - b_i T(b_j) as (scalar, sparse vector) terms
+        terms = [(c, cols[k]) for k, c in oracle.get((i, j), ())]
+        terms += [(ring.neg(v), oracle.get((p, j), ())) for p, v in cols[i]]
+        terms += [(ring.neg(v), oracle.get((i, p), ())) for p, v in cols[j]]
+        diff = {}
+        for a, vec in terms:
+            for q, c in vec:
+                diff[q] = ring.add(diff.get(q, zero), ring.mul(a, c))
+        if any(v != zero for v in diff.values()):
+            return False
     return True

@@ -8,15 +8,15 @@ Fraction).
 
 Roots over F_p come from equal-degree splitting: gcd(f, x^p - x) is the
 product of f's distinct linear factors, and gcd(h, (x + a)^((p-1)/2) - 1)
-for a = 0, 1, 2, ... splits it (deterministic Cantor-Zassenhaus).  Roots
-over Q come from p-adic lifting (Loos, SIAM J. Comput. 12(2), 1983): the
-roots mod a prime p are Newton-lifted past twice the Cauchy bound, and
-every candidate is verified by exact evaluation.
+for a = 0, 1, 2, ... splits it (deterministic Cantor-Zassenhaus) down to
+quadratics, solved with one square root (Tonelli-Shanks).  Roots over Q
+come from p-adic lifting (Loos, SIAM J. Comput. 12(2), 1983): the roots
+mod a prime p are Newton-lifted past twice the Cauchy bound, and every
+candidate is verified by exact evaluation.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .rings import PrimeField, is_prime
@@ -120,27 +120,48 @@ def _roots_mod_p(f, field):
         return [a for a in range(p) if not field.coerce(value(f, a))]
     x = [0, 1]
     out = []
-    _split_linear(gcd(f, sub(powmod(x, p, f, field), x, field), field), field, out)
+    _split_linear(gcd(f, sub(powmod(x, p, f, field), x, field), field), field, 0, out)
     return sorted(out)
 
 
-def _split_linear(g, field, out):
+def _split_linear(g, field, start, out):
     """Append the roots of g, a monic product of distinct linear factors.
 
     For odd p, any two roots r != s have (r + a) and (s + a) of different
     quadratic character for about half of all a, so the loop ends early.
+    A shift that gives all of g's roots one character cannot split a factor
+    of g, so the factors of a split try only the shifts after it.
     """
+    p = field.modulus
     if len(g) == 2:
         out.append(field.neg(g[0]))
-    if len(g) <= 2:
+    elif len(g) == 3:
+        b, root, half = g[1], _sqrt(g[1] * g[1] - 4 * g[0], p), (p + 1) // 2  # (-b +- root) / 2
+        out += [(root - b) * half % p, (-root - b) * half % p]
+    if len(g) <= 3:
         return
-    half = (field.modulus - 1) // 2
-    for a in range(field.modulus):
-        h = gcd(g, sub(powmod([a, 1], half, g, field), [1], field), field)
+    for a in range(start, p):
+        h = gcd(g, sub(powmod([a, 1], (p - 1) // 2, g, field), [1], field), field)
         if 1 < len(h) < len(g):
-            _split_linear(h, field, out)
-            _split_linear(quo(g, h, field), field, out)
+            _split_linear(h, field, a + 1, out)
+            _split_linear(quo(g, h, field), field, a + 1, out)
             return
+
+
+def _sqrt(n, p):
+    """A square root of the square n mod the odd prime p: n^((p+1)/4) when
+    p = 3 mod 4 (t = 1 at once), else Tonelli-Shanks with the least
+    non-residue z, where p - 1 = q 2^s for odd q."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    r, t = pow(n, (q + 1) // 2, p), pow(n, q, p)
+    if t != 1:
+        c = pow(next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1), q, p)
+    while t != 1:
+        i = next(i for i in range(1, s) if pow(t, 1 << i, p) == 1)
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
 
 def _roots_over_q(f, ring):
@@ -152,6 +173,8 @@ def _roots_over_q(f, ring):
     not divide D and leaves G squarefree, every integer root of G is a
     simple root mod p, and lifts to the one root mod p^(2^i) above it.
     """
+    from fractions import Fraction
+
     s = quo(f, gcd(f, derivative(f, ring), ring), ring)
     k = len(s) - 1
     if k < 1:

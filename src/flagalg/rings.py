@@ -8,8 +8,6 @@ modular values live in [0, m).  No floating point anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class CapabilityError(Exception):
     """The requested computation is not supported over the chosen ring."""
@@ -123,47 +121,52 @@ class Ring:
         return f"Ring({self.name})"
 
 
-def _exact(x):
-    """x as an int when integral, else a Fraction; a float raises."""
-    if type(x) is int:
-        return x
-    if type(x) is not Fraction:
-        raise TypeError(f"inexact scalar {x!r} reached Q")
-    return x.numerator if x.denominator == 1 else x
-
-
 class Rationals(Ring):
     """Q, with integral scalars kept as ints: most scalars of a run are
-    integers, and int arithmetic skips Fraction's objects and gcds."""
+    integers, and int arithmetic skips Fraction's objects and gcds.  Only
+    building a Q ring imports `fractions`."""
 
     name = "Q"
     is_field = True
     supports_submodules = True
     is_indecomposable = True
 
+    def __init__(self):
+        from fractions import Fraction
+
+        self.fraction = Fraction
+
+    def _exact(self, x):
+        """x as an int when integral, else a Fraction; a float raises."""
+        if type(x) is int:
+            return x
+        if type(x) is not self.fraction:
+            raise TypeError(f"inexact scalar {x!r} reached Q")
+        return x.numerator if x.denominator == 1 else x
+
     def add(self, a, b):
-        return _exact(a + b)
+        return self._exact(a + b)
 
     def sub(self, a, b):
-        return _exact(a - b)
+        return self._exact(a - b)
 
     def mul(self, a, b):
-        return _exact(a * b)
+        return self._exact(a * b)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return _exact(Fraction(1) / a)
+        return self._exact(self.fraction(1) / a)
 
     def coerce(self, k):
-        return _exact(k)
+        return self._exact(k)
 
     def parse(self, s):
         # Fraction("1e800000") would build 10**800000 from 8 characters
         if "e" in s or "E" in s:
             raise ValueError(f"exponent notation is not accepted: {s!r}")
         try:
-            return _exact(Fraction(s))
+            return self._exact(self.fraction(s))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {s!r}") from None
 

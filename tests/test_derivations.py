@@ -11,6 +11,8 @@ from flagalg.linalg import LinearMap, kernel, span, sub_scaled
 from flagalg.posets import Poset, antichain, chain, enumerate_posets
 from flagalg.rings import Integers, PrimeField, Rationals
 
+from derivation_oracle import check_derivation_all_pairs
+
 Q = Rationals()
 
 
@@ -84,6 +86,39 @@ class TestDirectCheck:
             if not raised:
                 del cols[q][p]
             assert not check_derivation(ctx, LinearMap(Q, cols)), (k, p, q)
+
+
+class TestDirectCheckAgainstAllPairs:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize(
+        "ring", [Q, PrimeField(2), Integers(), PrimeField(262139)], ids=lambda r: r.name
+    )
+    def test_same_verdict_on_kernel_maps_and_single_entry_changes(self, ring, n):
+        # check_derivation skips the pairs whose defect has no term; the
+        # reference visits all d^2 pairs
+        verdicts = set()
+        for m in range(1, 5):
+            for p in enumerate_posets(m):
+                ctx = AlgebraContext(p, n, ring)
+                d = ctx.dim
+                basis = derivation_basis(ctx)
+                for t in basis:
+                    assert check_derivation(ctx, t) and check_derivation_all_pairs(ctx, t)
+                # add 1 at each entry of one kernel map (the zero map if n = 3)
+                base = basis[0] if basis else LinearMap(ring, [{} for _ in range(d)])
+                for r in range(d):
+                    for q in range(d):
+                        cols = [dict(col) for col in base.columns]
+                        cols[q][r] = ring.add(cols[q].get(r, ring.zero()), ring.one())
+                        if not cols[q][r]:
+                            del cols[q][r]
+                        t = LinearMap(ring, cols)
+                        verdict = check_derivation(ctx, t)
+                        assert verdict == check_derivation_all_pairs(ctx, t), (p, n, r, q)
+                        verdicts.add(verdict)
+        # for n = 2 some changed maps are still derivations; for n = 3 the
+        # kernel is 0, so no map with one nonzero entry is
+        assert verdicts == ({True, False} if n == 2 else {False})
 
 
 class TestSystemShape:

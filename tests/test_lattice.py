@@ -249,7 +249,9 @@ def irreducible_quadratic(p):
 
 
 class TestRootFinders:
-    @pytest.mark.parametrize("p", [2, 3, 5, 262139])
+    # 13 and 1000033 are 1 mod 4 (Tonelli-Shanks), 262139 is 3 mod 4; up to
+    # degree 5 over F_13 the roots come from splitting, not from the scan
+    @pytest.mark.parametrize("p", [2, 3, 5, 13, 262139, 1000033])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_fp_finder_matches_residue_scan(self, p, data):
@@ -263,6 +265,18 @@ class TestRootFinders:
             # the quadratic has no root, so these are all the roots a scan finds
             expected = sorted(roots)
         assert poly.roots(f, field) == expected
+
+    def test_fp_split_exponentiates_once_per_needed_shift(self, monkeypatch):
+        # x^p mod f, then one (x + a)^((p-1)/2) per shift tried: a factor
+        # carries on from the shift after the one that split it, and a
+        # quadratic factor is solved by one square root (14 calls without)
+        field = PrimeField(262139)
+        roots = [0, 7, 1000, 4242, 99999, 262138]
+        exponents = []
+        powmod = poly.powmod
+        monkeypatch.setattr(poly, "powmod", lambda u, e, f, ring: exponents.append(e) or powmod(u, e, f, ring))
+        assert poly.roots(from_roots(roots, field, [1]), field) == roots
+        assert exponents == [262139, 131069, 131069, 131069]
 
     def test_fp_finder_matches_residue_scan_on_a_large_prime(self):
         p = 262139
