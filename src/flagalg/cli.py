@@ -24,8 +24,9 @@ EXIT_OK = 0
 EXIT_THEOREM_VIOLATION = 1
 EXIT_INPUT_ERROR = 2
 MAX_FLAG_ORDER = 8  # the largest --n; like --all-up-to's 5, it keeps every basis small
-# the largest algebra `derivations` solves: its Leibniz system grows faster than
-# the dim, and on a 2-core VM the 7-chain took 3.7 s at --n 4 (dim 210), 13.5 s at --n 5
+# the largest algebra whose Leibniz system `derivations` and `check` (always I^3)
+# solve: it grows faster than the dim, and on a 2-core VM the 7-chain took 3.7 s
+# at --n 4 (dim 210), 13.5 s at --n 5
 MAX_DERIVATION_DIM = 210
 
 
@@ -80,7 +81,11 @@ def cmd_check(args):
         raise CliError("check: give exactly one of a poset file or --all-up-to")
     ring = ring_from_spec(args.ring)
     if args.poset:
-        posets = [( os.path.basename(args.poset), _load_poset(args.poset) )]
+        poset = _load_poset(args.poset)
+        dim = len(poset.multichains(3))
+        if dim > MAX_DERIVATION_DIM:
+            raise CliError(f"check needs dim at most {MAX_DERIVATION_DIM} (I^3 of this poset has dim {dim})")
+        posets = [(os.path.basename(args.poset), poset)]
     else:
         m = args.all_up_to
         if not 1 <= m <= 5:

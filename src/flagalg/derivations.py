@@ -17,8 +17,9 @@ from .rings import CapabilityError
 def leibniz_system(ctx: AlgebraContext):
     """Sparse rows, over the d^2 unknowns, of the system above.
 
-    Row (i, j, k) is kept only for k in the supports of b_i b_j, A b_j and
-    b_i A; zero and repeated rows are dropped.  A left-out row says that
+    One pass over the pairs (i, j) in index order builds row (i, j, k) once
+    for each k in the supports of A b_j and b_i A, which hold that of
+    b_i b_j; zero and repeated rows are dropped.  A left-out row says that
     D(b_i b_j) has no b_k term, so the kernel contains Der(I^n), and
     `check_derivation` checks each kernel map against the full rule.
     """
@@ -26,47 +27,31 @@ def leibniz_system(ctx: AlgebraContext):
     ring = ctx.ring
     zero = ring.zero()
     d = ctx.dim
-    # right-multiplication and left-multiplication sparse columns:
-    # right_by_j[k] lists (q, c_{qj}^k); left_by_i[k] lists (q, c_{iq}^k)
-    right = [dict() for _ in range(d)]  # j -> {k: [(q, c)]}
-    left = [dict() for _ in range(d)]
+    # right[j][k] lists (q * d, -c_{qj}^k); left[i][k] lists (q * d, -c_{iq}^k)
+    right = [{} for _ in range(d)]
+    left = [{} for _ in range(d)]
     for (i, j), entry in sc.table.items():
         for k, c in entry:
-            right[j].setdefault(k, []).append((i, c))
-            left[i].setdefault(k, []).append((j, c))
-    rows = []
-    seen = set()
-    for (i, j), entry in list(sc.table.items()) + [
-        ((i, j), ())
-        for i in range(d)
-        for j in range(d)
-        if (i, j) not in sc.table
-    ]:
-        ks = {k for k, _c in entry}
-        ks.update(right[j].keys())
-        ks.update(left[i].keys())
-        for k in ks:
-            row = {}
-
-            def bump(col, val):
-                nv = ring.add(row.get(col, zero), val)
-                if nv == zero:
-                    row.pop(col, None)
-                else:
-                    row[col] = nv
-
-            for l, c in entry:
-                bump(k * d + l, c)
-            for q, c in right[j].get(k, ()):
-                bump(q * d + i, ring.neg(c))
-            for q, c in left[i].get(k, ()):
-                bump(q * d + j, ring.neg(c))
-            if row:
-                key = tuple(sorted(row.items()))
-                if key not in seen:
-                    seen.add(key)
-                    rows.append(row)
-    return rows
+            right[j].setdefault(k, []).append((i * d, ring.neg(c)))
+            left[i].setdefault(k, []).append((j * d, ring.neg(c)))
+    rows = {}  # the distinct rows as sorted terms, in first-seen order
+    for i in range(d):
+        for j in range(d):
+            entry = sc.table.get((i, j), ())
+            for k in right[j].keys() | left[i].keys():
+                terms = [(k * d + l, c) for l, c in entry]
+                for qd, c in right[j].get(k, ()):
+                    terms.append((qd + i, c))
+                for qd, c in left[i].get(k, ()):
+                    terms.append((qd + j, c))
+                if len(terms) > 1:  # a lone term is a nonzero table entry, or its negative
+                    row = {}
+                    for col, c in terms:
+                        row[col] = ring.add(row.get(col, zero), c)
+                    terms = sorted((col, c) for col, c in row.items() if c != zero)
+                if terms:
+                    rows[tuple(terms)] = None
+    return [dict(key) for key in rows]
 
 
 def derivation_basis(ctx: AlgebraContext):

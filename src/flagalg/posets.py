@@ -90,28 +90,24 @@ class Poset:
             raise InvalidIntervalError(f"{x} is not <= {y}")
         return {z for z in range(self.size) if self.leq[x][z] and self.leq[z][y]}
 
+    def _chain_heights(self, elems):
+        """For each z in elems, the longest cover chain within elems that
+        ends at z (elems is an interval or all of P, so convex)."""
+        best = {z: 0 for z in elems}
+        for z in sorted(elems, key=lambda z: sum(self.leq[w][z] for w in elems)):
+            for (a, b) in self.covers:
+                if a == z and b in best:
+                    best[b] = max(best[b], best[z] + 1)
+        return best
+
     def length(self, x, y) -> int:
         """Longest-chain length within the interval [x, y]."""
-        iv = self.interval(x, y)  # validates x <= y
-        # longest path in the cover DAG restricted to the interval
-        order = sorted(iv, key=lambda z: sum(1 for w in iv if self.leq[w][z]))
-        best = {z: 0 for z in iv}
-        for z in order:
-            for (a, b) in self.covers:
-                if a == z and b in iv:
-                    best[b] = max(best[b], best[z] + 1)
-        return best[y]
+        return self._chain_heights(self.interval(x, y))[y]  # validates x <= y
 
     def height(self, x) -> int:
         """Longest chain length from a minimal element up to x."""
         if self._heights is None:
-            h = [0] * self.size
-            order = sorted(range(self.size), key=lambda z: sum(self.leq[w][z] for w in range(self.size)))
-            for z in order:
-                for (a, b) in self.covers:
-                    if a == z:
-                        h[b] = max(h[b], h[z] + 1)
-            self._heights = tuple(h)
+            self._heights = self._chain_heights(range(self.size))
         return self._heights[x]
 
     def poset_length(self) -> int:

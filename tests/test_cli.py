@@ -420,6 +420,19 @@ class TestExitCodes:
             "", f"error: derivations need dim at most {cli.MAX_DERIVATION_DIM} (this algebra has dim 462)\n"
         )
 
+    def test_check_dimension_is_bounded(self, tmp_path, capsys):
+        # check always builds I^3 and its Leibniz system: I^3 of the 10-chain
+        # has dim C(12, 3) = 220, and its run took 3.9 s on a 2-core VM
+        f = tmp_path / "chain10.poset"
+        names = "abcdefghij"
+        f.write_text(f"elements: {' '.join(names)}\ncovers:\n" + "".join(f"{x} {y}\n" for x, y in zip(names, names[1:])))
+        start = time.perf_counter()
+        assert cli.main(["check", str(f)]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == (
+            "", f"error: check needs dim at most {cli.MAX_DERIVATION_DIM} (I^3 of this poset has dim 220)\n"
+        )
+
     @pytest.mark.parametrize("command", ["multiply", "derivations"])
     def test_flag_order_is_checked_after_ring_and_file(self, chain2, capsys, command):
         empty = ["--lhs", "[]", "--rhs", "[]"] if command == "multiply" else []

@@ -11,7 +11,7 @@ from flagalg.linalg import LinearMap, kernel, span, sub_scaled
 from flagalg.posets import Poset, antichain, chain, enumerate_posets
 from flagalg.rings import Integers, PrimeField, Rationals
 
-from derivation_oracle import check_derivation_all_pairs
+from derivation_oracle import check_derivation_all_pairs, leibniz_system_reference
 
 Q = Rationals()
 
@@ -119,6 +119,42 @@ class TestDirectCheckAgainstAllPairs:
         # for n = 2 some changed maps are still derivations; for n = 3 the
         # kernel is 0, so no map with one nonzero entry is
         assert verdicts == ({True, False} if n == 2 else {False})
+
+
+def row_keys(rows):
+    return [tuple(sorted(row.items())) for row in rows]
+
+
+class TestSystemAgainstReference:
+    """leibniz_system builds its rows in one pass over the basis pairs in
+    index order; the reference builds them table pairs first, then the
+    absent pairs.  The row sets must be equal, with no row built twice."""
+
+    @staticmethod
+    def assert_same_rows(ctx):
+        keys = row_keys(leibniz_system(ctx))
+        assert len(set(keys)) == len(keys), ctx
+        assert set(keys) == set(row_keys(leibniz_system_reference(ctx))), ctx
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "ring",
+        [Q, PrimeField(2), PrimeField(3), Integers(), PrimeField(262139)],
+        ids=lambda r: r.name,
+    )
+    def test_same_rows_on_small_posets(self, ring, n):
+        for m in range(1, 5):
+            for p in enumerate_posets(m):
+                self.assert_same_rows(AlgebraContext(p, n, ring))
+
+    @pytest.mark.parametrize("m, n", [(6, 2), (8, 3)])
+    def test_same_rows_and_kernel_on_chains(self, m, n):
+        # the rows come in another order; the kernel is canonical, so it is
+        # the same Submodule
+        ctx = AlgebraContext(chain(m), n, Q)
+        self.assert_same_rows(ctx)
+        d2 = ctx.dim**2
+        assert kernel(leibniz_system(ctx), d2, Q) == kernel(leibniz_system_reference(ctx), d2, Q)
 
 
 class TestSystemShape:

@@ -58,6 +58,18 @@ def test_only_q_jobs_load_fractions(tmp_path, ring, loads):
     assert (modules == {"fractions"}) is loads
 
 
+@pytest.mark.parametrize("command, status", [("derivations", 0), ("check", 2)])
+def test_z_kernel_jobs_load_fractions(tmp_path, command, status):
+    # kernel over Z eliminates over Q before its HNF; check over Z exits 2
+    # on its capability skips
+    poset = tmp_path / "c2.poset"
+    poset.write_text("elements: a b\ncovers:\na b\n")
+    out = tmp_path / "report.json"
+    argv = [command, str(poset), "--ring", "Z", "--out", str(out)]
+    assert loaded_after(argv, tmp_path, prefix="fractions") == (status, {"fractions"})
+    assert json.loads(out.read_text())["ring"] == "Z"
+
+
 def test_fp_reconstruct_loads_no_fractions(tmp_path):
     # the splitting of the idempotents runs the F_p root search
     from flagalg.algebra import AlgebraContext
