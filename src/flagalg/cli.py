@@ -64,13 +64,16 @@ def _load_poset(path):
         raise CliError(f"poset parse error: {exc}")
 
 
-def _flag_context(args):
+def _flag_context(args, max_dim=None):
+    """The poset file's context at --n over --ring; max_dim refuses a larger one unbuilt."""
     from .algebra import AlgebraContext
 
     ring = ring_from_spec(args.ring)
     poset = _load_poset(args.poset)
     if args.n > MAX_FLAG_ORDER:
         raise CliError(f"--n must be at most {MAX_FLAG_ORDER}")
+    if max_dim is not None and args.n >= 2 and (dim := poset.count_multichains(args.n)) > max_dim:
+        raise CliError(f"derivations need dim at most {max_dim} (this algebra has dim {dim})")
     return AlgebraContext(poset, args.n, ring)
 
 
@@ -82,7 +85,7 @@ def cmd_check(args):
     ring = ring_from_spec(args.ring)
     if args.poset:
         poset = _load_poset(args.poset)
-        dim = len(poset.multichains(3))
+        dim = poset.count_multichains(3)
         if dim > MAX_DERIVATION_DIM:
             raise CliError(f"check needs dim at most {MAX_DERIVATION_DIM} (I^3 of this poset has dim {dim})")
         posets = [(os.path.basename(args.poset), poset)]
@@ -161,9 +164,7 @@ def cmd_reconstruct(args):
 def cmd_derivations(args):
     from .derivations import check_derivation, derivation_basis, moved_basis_tuple
 
-    ctx = _flag_context(args)
-    if ctx.dim > MAX_DERIVATION_DIM:
-        raise CliError(f"derivations need dim at most {MAX_DERIVATION_DIM} (this algebra has dim {ctx.dim})")
+    ctx = _flag_context(args, MAX_DERIVATION_DIM)
     basis = derivation_basis(ctx)
     violation = None
     if args.n == 3 and basis:

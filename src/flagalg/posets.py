@@ -126,6 +126,15 @@ class Poset:
             chains = [c + (y,) for c in chains for y in range(self.size) if self.leq[c[-1]][y]]
         return chains
 
+    def count_multichains(self, n: int) -> int:
+        """len(self.multichains(n)), by n - 1 passes over the leq rows."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        ends = [1] * self.size  # the chains so far that end at each element
+        for _ in range(n - 1):
+            ends = [sum(c for c, row in zip(ends, self.leq) if row[y]) for y in range(self.size)]
+        return sum(ends)
+
     def relabel(self, perm):
         """Image poset under index map x -> perm[x]."""
         m = self.size

@@ -30,6 +30,16 @@ class AbstractAlgebra:
         self.sc = sc
 
 
+def _stage_lifts(sc: StructureConstants, numerator, denominator, stage: str):
+    """Lifts of the primitive idempotents of numerator/denominator; a
+    ReconstructionError naming the stage when that is not a split algebra."""
+    try:
+        q = quotient(sc, numerator, denominator)
+        return [q.lift(e) for e in primitive_idempotents(q.sc)]
+    except (IdealError, SplittingError) as exc:
+        raise ReconstructionError(f"{stage} quotient did not split: {exc}") from exc
+
+
 def reconstruct_poset(a: AbstractAlgebra):
     """Recover (Poset, element idempotent lifts, cover idempotent lifts).
 
@@ -53,30 +63,30 @@ def reconstruct_poset(a: AbstractAlgebra):
         )
     c1, c2, c3 = commutator_chain(sc)
     std = [{i: ring.one()} for i in range(d)]
-    try:
-        q1 = quotient(sc, span(std, ring, d), c1)
-    except IdealError:
-        raise ReconstructionError("the commutator submodule is not an ideal")
-    try:
-        elem_idems = primitive_idempotents(q1.sc)
-    except SplittingError as exc:
-        raise ReconstructionError(f"element quotient did not split: {exc}") from exc
     # order by leading coordinate so canonical input labels elements by the
     # position of e_(x,...,x) in the basis; ties by the lift itself, which
     # does not depend on the quotient's coordinates
     zero = ring.zero()
     elements = sorted(
-        (q1.lift(e) for e in elem_idems), key=lambda v: (min(v), [v.get(i, zero) for i in range(d)])
+        _stage_lifts(sc, span(std, ring, d), c1, "element"),
+        key=lambda v: (min(v), [v.get(i, zero) for i in range(d)]),
     )
     m = len(elements)
+    cover_lifts = sorted(_stage_lifts(sc, c2, c3, "cover"), key=min)
 
-    # pipeline self-checks: C1*C2 <= C2 and A*C3 <= C2 make the endpoint
-    # attachment independent of the choice of lifts
-    for u in c1.basis:
-        for v in c2.basis:
-            if not c2.contains(sc.multiply(u, v)):
-                raise ReconstructionError("C1*C2 is not contained in C2")
-    for u in std:
+    # C1*C2 <= C2 and A*C3 + C3*A <= C2 make the endpoint attachment
+    # independent of the choice of lifts.  C2 = [C1, C1] <= [A, A] = C1, so
+    # C2's pivots are among C1's, and the cover stage proved C3 <= C2 and
+    # C2*C2 <= C2.  An echelon row is zero left of its pivot, so C1's rows
+    # whose pivot is not C2's span a complement of C2 in C1, and the e_i off
+    # C1's pivots one of C1 in A.  So C1*C2 <= C2 iff it holds on the first;
+    # given that, C1*C3 <= C2 and C3*C1 <= C2*C1 <= C1*C2 + [C1, C1] <= C2,
+    # so A*C3 + C3*A <= C2 iff it holds on the second.
+    c2_pivots = {min(v) for v in c2.basis}
+    if any(not c2.contains(sc.multiply(u, v)) for u in c1.basis if min(u) not in c2_pivots for v in c2.basis):
+        raise ReconstructionError("C1*C2 is not contained in C2")
+    c1_pivots = {min(u) for u in c1.basis}
+    for u in (std[i] for i in range(d) if i not in c1_pivots):
         for v in c3.basis:
             if not c2.contains(sc.multiply(u, v)):
                 raise ReconstructionError("A*C3 is not contained in C2")
@@ -84,35 +94,22 @@ def reconstruct_poset(a: AbstractAlgebra):
                 raise ReconstructionError("C3*A is not contained in C2")
 
     covers = []
-    cover_lifts = []
-    if c2.rank > c3.rank:
-        try:
-            q2 = quotient(sc, c2, c3)
-            cover_idems = primitive_idempotents(q2.sc)
-        except IdealError as exc:
-            raise ReconstructionError(f"C2/C3 is not a quotient algebra: {exc}")
-        except SplittingError as exc:
-            raise ReconstructionError(f"cover quotient did not split: {exc}") from exc
-        for f in sorted((q2.lift(e) for e in cover_idems), key=min):
-            src = [x for x in range(m) if not c2.contains(sc.multiply(elements[x], f))]
-            tgt = [y for y in range(m) if not c2.contains(sc.multiply(f, elements[y]))]
-            if len(src) != 1 or len(tgt) != 1 or src == tgt:
-                raise ReconstructionError(
-                    "cover endpoint attachment is not unique; input is not a "
-                    "third flag algebra"
-                )
-            covers.append((src[0], tgt[0]))
-            cover_lifts.append(f)
-
-    if len(set(covers)) != len(covers):
-        raise ReconstructionError("duplicate cover recovered")
+    for f in cover_lifts:
+        src = [x for x in range(m) if not c2.contains(sc.multiply(elements[x], f))]
+        tgt = [y for y in range(m) if not c2.contains(sc.multiply(f, elements[y]))]
+        if len(src) != 1 or len(tgt) != 1 or src == tgt:
+            raise ReconstructionError(
+                "cover endpoint attachment is not unique; input is not a "
+                "third flag algebra"
+            )
+        covers.append((src[0], tgt[0]))
     try:
         poset = Poset.from_covers(m, covers)
     except PosetError as exc:
         raise ReconstructionError(f"cover closure is not a partial order: {exc}")
-    if set(poset.covers) != set(covers):
-        raise ReconstructionError("recovered cover relation is not its own cover set")
-    chains = len(poset.multichains(3))
+    if sorted(covers) != list(poset.covers):
+        raise ReconstructionError("the recovered covers are not the cover relation of their closure")
+    chains = poset.count_multichains(3)
     if chains != d:
         raise ReconstructionError(
             f"the recovered poset has {chains} 3-multichain(s), so its third flag algebra has dim "

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -432,6 +433,29 @@ class TestExitCodes:
         assert capsys.readouterr() == (
             "", f"error: check needs dim at most {cli.MAX_DERIVATION_DIM} (I^3 of this poset has dim 220)\n"
         )
+
+    @pytest.mark.parametrize(
+        "command, err",
+        [
+            ("check", "check needs dim at most 210 (I^3 of this poset has dim 573800)"),
+            ("derivations", "derivations need dim at most 210 (this algebra has dim 573800)"),
+        ],
+    )
+    def test_dimension_refusal_counts_without_building(self, tmp_path, capsys, command, err):
+        # the 150-chain's 573,800 multichains are counted, not built: building
+        # them peaked at 41 MiB for check and 79 MiB for derivations
+        names = [f"x{i}" for i in range(150)]
+        f = tmp_path / "chain150.poset"
+        f.write_text(f"elements: {' '.join(names)}\ncovers:\n" + "".join(f"{x} {y}\n" for x, y in zip(names, names[1:])))
+        tracemalloc.start()
+        try:
+            code = cli.main([command, str(f)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("command", ["multiply", "derivations"])
     def test_flag_order_is_checked_after_ring_and_file(self, chain2, capsys, command):

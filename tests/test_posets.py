@@ -177,6 +177,14 @@ class TestMultichains:
     def test_antichain_multichains_are_constant(self):
         assert antichain(3).multichains(3) == [(0, 0, 0), (1, 1, 1), (2, 2, 2)]
 
+    def test_count_matches_the_list(self):
+        posets = [antichain(0)] + [p for m in range(1, 6) for p in enumerate_posets(m)]
+        for p in posets:
+            for n in range(1, 5):
+                assert p.count_multichains(n) == len(p.multichains(n))
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            chain(2).count_multichains(0)
+
 
 class TestParse:
     def test_roundtrip(self):

@@ -1,12 +1,16 @@
 """Recovering the poset from anonymous structure constants, and isomorphism
 rigidity of the third flag algebra."""
 
+import itertools
+import json
 import random
 import time
 
 import pytest
 from isomorphism_oracle import enumerate_isomorphisms_exhaustive
+from reconstruction_oracle import reconstruct_poset_reference
 
+from flagalg import cli
 from flagalg.algebra import AlgebraContext, StructureConstants, structure_constants
 from flagalg.linalg import LinearMap
 from flagalg.posets import Poset, antichain, chain, enumerate_posets, find_isomorphism
@@ -26,6 +30,47 @@ F2 = PrimeField(2)
 
 V_POSET = Poset.from_covers(3, [(0, 1), (0, 2)])
 DIAMOND = Poset.from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+
+# Faulty F_2 tables, one per late guard of reconstruct_poset, with the start
+# of the diagnostic each gets (None where only the exit and the one line are
+# pinned).  Drawn by a seeded multi-flip scan: with rng = random.Random(seed),
+# pick (dim, table) of I^3(P, F_2) for P among enumerate_posets(2), (3) and
+# (4) in order, then rng.randint(1, 6) times flip coefficient k of entry
+# (i, j) for i, j, k each drawn by rng.randrange(dim).
+GUARD_TABLES = {
+    # seed 41896: C3 is not an ideal of C2
+    "cover-ideal": (
+        '{"dim":4,"ring":"Fp:2","table":[[0,0,[[0,"1 mod 2"]]],[0,1,[[0,"1 mod 2"],[1,"1 mod 2"]]],'
+        '[1,2,[[1,"1 mod 2"]]],[2,3,[[2,"1 mod 2"]]],[3,3,[[3,"1 mod 2"]]]]}',
+        "cover quotient did not split: ",
+    ),
+    # seed 45321: two cover idempotents attach to the same pair
+    "duplicate-cover": (
+        '{"dim":7,"ring":"Fp:2","table":[[0,0,[[0,"1 mod 2"]]],[0,1,[[1,"1 mod 2"]]],[0,4,[[1,"1 mod 2"]]],'
+        '[1,2,[[1,"1 mod 2"],[2,"1 mod 2"]]],[2,6,[[2,"1 mod 2"]]],[3,3,[[3,"1 mod 2"]]],'
+        '[4,5,[[4,"1 mod 2"],[5,"1 mod 2"]]],[4,6,[[1,"1 mod 2"]]],[5,6,[[5,"1 mod 2"]]],[6,6,[[6,"1 mod 2"]]]]}',
+        None,
+    ),
+    # seed 60362: the covers close up to a cycle
+    "cycle": (
+        '{"dim":10,"ring":"Fp:2","table":[[0,0,[[0,"1 mod 2"]]],[0,1,[[1,"1 mod 2"]]],[0,2,[[2,"1 mod 2"]]],'
+        '[0,3,[[3,"1 mod 2"]]],[1,3,[[1,"1 mod 2"],[3,"1 mod 2"]]],[1,4,[[2,"1 mod 2"],[4,"1 mod 2"]]],'
+        '[2,5,[[2,"1 mod 2"],[4,"1 mod 2"],[5,"1 mod 2"]]],[3,6,[[3,"1 mod 2"]]],[3,7,[[4,"1 mod 2"]]],'
+        '[4,8,[[4,"1 mod 2"],[5,"1 mod 2"]]],[5,9,[[5,"1 mod 2"]]],[6,6,[[6,"1 mod 2"]]],[6,7,[[7,"1 mod 2"]]],'
+        '[7,8,[[7,"1 mod 2"],[8,"1 mod 2"]]],[8,2,[[4,"1 mod 2"]]],[8,9,[[8,"1 mod 2"]]],[9,1,[[8,"1 mod 2"]]],'
+        '[9,9,[[9,"1 mod 2"]]]]}',
+        "cover closure is not a partial order: ",
+    ),
+    # seed 110403: a recovered cover is implied by two others
+    "not-own-cover-set": (
+        '{"dim":10,"ring":"Fp:2","table":[[0,0,[[0,"1 mod 2"]]],[0,1,[[1,"1 mod 2"]]],[0,2,[[2,"1 mod 2"]]],'
+        '[1,3,[[1,"1 mod 2"],[3,"1 mod 2"]]],[2,4,[[2,"1 mod 2"],[4,"1 mod 2"]]],[3,8,[[3,"1 mod 2"]]],'
+        '[4,9,[[4,"1 mod 2"]]],[5,5,[[5,"1 mod 2"]]],[5,6,[[6,"1 mod 2"]]],[5,7,[[7,"1 mod 2"]]],'
+        '[6,7,[[6,"1 mod 2"],[7,"1 mod 2"]]],[7,9,[[7,"1 mod 2"]]],[8,7,[[1,"1 mod 2"]]],[8,8,[[8,"1 mod 2"]]],'
+        '[9,9,[[9,"1 mod 2"]]]]}',
+        None,
+    ),
+}
 
 
 def from_rows(rows):
@@ -165,6 +210,19 @@ class TestGuards:
         with pytest.raises(ReconstructionError):
             reconstruct_poset(AbstractAlgebra(sc))
 
+    @pytest.mark.parametrize("name", GUARD_TABLES)
+    def test_guard_table_fails_with_one_line(self, tmp_path, capsys, name):
+        table, start = GUARD_TABLES[name]
+        f = tmp_path / f"{name}.json"
+        f.write_text(table)
+        assert cli.main(["reconstruct", str(f), "--ring", "Fp:2"]) == 1
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        diagnostic = report["diagnostic"]
+        assert report["status"] == "fail" and diagnostic and "\n" not in diagnostic
+        assert err == f"reconstruct: FAILED: {diagnostic}\n"
+        assert start is None or diagnostic.startswith(start)
+
     def test_cover_closure_bug_is_not_reported_as_bad_input(self, monkeypatch):
         # only the PosetError of a cyclic cover relation means "not a partial
         # order"; any other error in that step is a bug and propagates
@@ -210,6 +268,44 @@ class TestGuards:
         m[1] = list(m[0])
         with pytest.raises(ValueError, match="singular"):
             conjugate_table(ctx, from_rows(m))
+
+
+def single_change(ctx, i, j, k):
+    """I^3's table with one added to the coefficient of b_k in b_i b_j."""
+    ring = ctx.ring
+    plain = structure_constants(ctx).table
+    entry = dict(plain.get((i, j), ()))
+    entry[k] = ring.add(entry.get(k, ring.zero()), ring.one())
+    return StructureConstants(ctx.dim, ring, {**plain, (i, j): entry.items()})
+
+
+class TestAgainstReference:
+    def test_single_changes_and_guard_tables(self):
+        # the fault scan changes each coefficient of I^3(P, F_2) for P of size
+        # 2 and 3 and the 4-chain, and of I^3(3-chain, Q): a seeded sample of
+        # 400 changes of the small tables and 100 of the 4-chain's, about 2 s
+        # on a 2-core VM
+        small = [AlgebraContext(p, 3, F2) for m in (2, 3) for p in enumerate_posets(m)]
+        small.append(AlgebraContext(chain(3), 3, Q))
+        changes = [(ctx, *ijk) for ctx in small for ijk in itertools.product(range(ctx.dim), repeat=3)]
+        rng = random.Random(0)
+        chain4 = AlgebraContext(chain(4), 3, F2)
+        sample = rng.sample(changes, 400)
+        sample += [(chain4, *ijk) for ijk in rng.sample(list(itertools.product(range(20), repeat=3)), 100)]
+        tables = [single_change(*change) for change in sample]
+        tables += [StructureConstants.from_json(table) for table, _start in GUARD_TABLES.values()]
+        verdicts = set()
+        for sc in tables:
+            outcomes = []
+            for reconstruct in (reconstruct_poset, reconstruct_poset_reference):
+                try:
+                    poset, elements, cover_lifts = reconstruct(AbstractAlgebra(sc))
+                    outcomes.append((poset.covers, elements, cover_lifts))
+                except ReconstructionError:
+                    outcomes.append(None)
+            assert outcomes[0] == outcomes[1], sc.to_json()
+            verdicts.add(outcomes[0] is None)
+        assert verdicts == {True, False}
 
 
 class TestRootSearchIsPolynomial:
