@@ -23,11 +23,16 @@ from .rings import CapabilityError, ring_from_spec
 EXIT_OK = 0
 EXIT_THEOREM_VIOLATION = 1
 EXIT_INPUT_ERROR = 2
-MAX_FLAG_ORDER = 8  # the largest --n; like --all-up-to's 5, it keeps every basis small
+# the largest --n (the 2-chain's --n 1000 took 6 s); the dim bounds cap the basis
+MAX_FLAG_ORDER = 8
 # the largest algebra whose Leibniz system `derivations` and `check` (always I^3)
 # solve: it grows faster than the dim, and on a 2-core VM the 7-chain took 3.7 s
 # at --n 4 (dim 210), 13.5 s at --n 5
 MAX_DERIVATION_DIM = 210
+# the largest algebra whose oracle table `multiply` builds: on a 2-core VM at
+# --n 8 the 9-chain (dim 12,870) took 0.82 s and 78 MiB, the 10-chain 2.09 s
+# and 176 MiB, and the 12-chain (dim 75,582) 11.7 s and 898 MiB
+MAX_MULTIPLY_DIM = 24310
 
 
 class CliError(Exception):
@@ -64,7 +69,7 @@ def _load_poset(path):
         raise CliError(f"poset parse error: {exc}")
 
 
-def _flag_context(args, max_dim=None):
+def _flag_context(args, max_dim):
     """The poset file's context at --n over --ring; max_dim refuses a larger one unbuilt."""
     from .algebra import AlgebraContext
 
@@ -72,8 +77,9 @@ def _flag_context(args, max_dim=None):
     poset = _load_poset(args.poset)
     if args.n > MAX_FLAG_ORDER:
         raise CliError(f"--n must be at most {MAX_FLAG_ORDER}")
-    if max_dim is not None and args.n >= 2 and (dim := poset.count_multichains(args.n)) > max_dim:
-        raise CliError(f"derivations need dim at most {max_dim} (this algebra has dim {dim})")
+    if args.n >= 2 and (dim := poset.count_multichains(args.n)) > max_dim:
+        need = "need" if args.command == "derivations" else "needs"
+        raise CliError(f"{args.command} {need} dim at most {max_dim} (this algebra has dim {dim})")
     return AlgebraContext(poset, args.n, ring)
 
 
@@ -218,7 +224,7 @@ def _parse_element(ctx, text):
 def cmd_multiply(args):
     from .algebra import convolve
 
-    ctx = _flag_context(args)
+    ctx = _flag_context(args, MAX_MULTIPLY_DIM)
     f = _parse_element(ctx, args.lhs)
     g = _parse_element(ctx, args.rhs)
     prod = convolve(ctx, f, g)

@@ -128,11 +128,12 @@ def primitive_idempotents(sc: StructureConstants):
 
     Takes the table of a commutative unital algebra (a quotient's `.sc` for
     a QuotientAlgebra).  Returns coordinate vectors on the table's basis, in
-    the order of their dense coordinate tuples.  Splits every idempotent e by
-    the eigenvalues of e*t for the probes
-    t = sum_k (k+1) b_k, b_0, ..., b_(d-1) until there are d of them: the
-    basis separates the components of a product of copies of the field,
-    and any other algebra raises SplittingError naming a minimal polynomial.
+    the order of their dense coordinate tuples.  Splits each idempotent u by
+    the eigenvalues of u*b_k, k = 0, ..., d-1: a Lagrange idempotent of a
+    squarefree split minimal polynomial is an eigenprojection, so u*b_k
+    stays in F*u as u splits further.  After the d basis probes uA = F*u for
+    every u, and A = sum uA gives d idempotents that no other probe splits;
+    any other algebra raises SplittingError naming a probe's polynomial.
     """
     ring = sc.ring
     if not ring.is_field:
@@ -146,13 +147,11 @@ def primitive_idempotents(sc: StructureConstants):
     if identity is None:
         raise SplittingError("algebra has no identity; not a product of copies of R")
     d = sc.dim
-    probes = [{k: ring.coerce(k + 1) for k in range(d) if ring.coerce(k + 1)}]
-    probes += [{k: ring.one()} for k in range(d)]
     idems = [identity]
-    for t in probes:
+    for k in range(d):
         if len(idems) == d:
             break
-        idems = [u for e in idems for u in _split(sc, e, t)]
+        idems = [u for e in idems for u in _split(sc, e, {k: ring.one()})]
     zero = ring.zero()
     return sorted(idems, key=lambda e: [e.get(i, zero) for i in range(d)])
 

@@ -46,9 +46,13 @@ def suite_flag_algebra(ctx: AlgebraContext):
     )
 
     if poset.is_antichain():
+        # (ab)c = 0 = a(bc) when ab = 0 = bc, so only the triples with a
+        # nonzero product in the oracle table are multiplied
         e = [ctx.basis_element(x) for x in basis]
         mul = oracle.multiply
-        ok = all(mul(mul(a, b), c) == mul(a, mul(b, c)) for a in e for b in e for c in e)
+        triples = {(i, j, k) for i, j in oracle.table for k in range(ctx.dim)}
+        triples |= {(i, j, k) for j, k in oracle.table for i in range(ctx.dim)}
+        ok = all(mul(mul(e[i], e[j]), e[k]) == mul(e[i], mul(e[j], e[k])) for i, j, k in triples)
         entries.append(_entry("power-associativity", "pass" if ok else "fail"))
     else:
         witness = power_assoc_witness(ctx)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -24,6 +25,13 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 CHAIN2 = "elements: a b\ncovers:\na b\n"
 ZERO_TABLE = '{"dim":2,"ring":"Q","table":[]}'
+
+
+def full_associativity_scan(table):
+    """(ab)c == a(bc) on all d^3 triples of basis vectors of a table."""
+    e = [{i: table.ring.one()} for i in range(table.dim)]
+    mul = table.multiply
+    return all(mul(mul(a, b), c) == mul(a, mul(b, c)) for a in e for b in e for c in e)
 
 
 def run_cli(*args, **kw):
@@ -196,6 +204,25 @@ class TestCheck:
         entry = suites.suite_flag_algebra(ctx)[1]
         assert entry == {"theorem": "power-associativity", "status": "fail"}
 
+    def test_sparse_antichain_scan_matches_the_full_scan(self):
+        # the suite multiplies only the triples with ab != 0 or bc != 0; on
+        # seeded changes of one or two products of the 3-antichain's oracle
+        # table it must agree with the full d^3 scan, and among them are
+        # failures that only a triple with ab = 0, or with bc = 0, shows
+        rng = random.Random(0)
+        ring = Rationals()
+        verdicts = []
+        for _ in range(200):
+            ctx = AlgebraContext(Poset.from_covers(3, []), 3, ring)
+            table = dict(ctx.oracle_table().table)
+            for _ in range(rng.randint(1, 2)):
+                table[rng.randrange(3), rng.randrange(3)] = [(rng.randrange(3), ring.coerce(rng.choice([-1, 1, 2])))]
+            ctx._oracle = StructureConstants(3, ring, table)
+            full = "pass" if full_associativity_scan(ctx._oracle) else "fail"
+            assert suites.suite_flag_algebra(ctx)[1] == {"theorem": "power-associativity", "status": full}
+            verdicts.append(full)
+        assert set(verdicts) == {"pass", "fail"}
+
     def test_one_sided_identity_is_reported(self, monkeypatch):
         def identity(sc, side):
             return {0: sc.ring.one()} if side == "left" else None
@@ -285,6 +312,25 @@ class TestExitCodes:
         assert report["status"] == "fail"
         assert "A*A != A" in report["diagnostic"]
 
+    def test_antichain_check_is_fast(self, tmp_path):
+        # I^3 of the 100-antichain is Q^100: a probe with 100 distinct
+        # eigenvalues made its reconstruction suite take 99.6 s on a 2-core VM
+        f = tmp_path / "antichain100.poset"
+        f.write_text(f"elements: {' '.join(f'a{i}' for i in range(100))}\ncovers:\n")
+        r = run_cli("check", str(f), timeout=30)
+        assert r.returncode == 0
+        assert r.stderr == "check: 1 poset(s) over Q: 9/9 theorem checks passed\n"
+
+    def test_diagonal_table_reconstructs_fast(self, tmp_path):
+        # b_i b_i = b_i, the unscrambled I^3 of the 200-antichain, took more
+        # than 120 s on a 2-core VM when split by a probe with 200 eigenvalues
+        f = tmp_path / "diagonal200.json"
+        f.write_text(json.dumps({"dim": 200, "ring": "Q", "table": [[i, i, [[i, "1"]]] for i in range(200)]}))
+        r = run_cli("reconstruct", str(f), timeout=30)
+        assert r.returncode == 0
+        report = json.loads(r.stdout)
+        assert (report["size"], report["covers"]) == (200, [])
+
     def test_non_split_table_names_its_minimal_polynomial(self, tmp_path):
         # Q(sqrt 2) over Q: commutative and unital but not a product of
         # copies of Q, so the element quotient cannot split
@@ -297,7 +343,8 @@ class TestExitCodes:
         assert r.returncode == 1
         diagnostic = json.loads(r.stdout)["diagnostic"]
         assert diagnostic.startswith("element quotient did not split")
-        assert "minimal polynomial x^2 + (-2)*x^1 + (-7)*x^0" in diagnostic
+        # b_0 is the identity, so b_1, whose square is 2 b_0, fails first
+        assert "minimal polynomial x^2 + (-2)*x^0" in diagnostic
         assert "retry budget" not in diagnostic
 
     def test_table_of_the_wrong_dimension_fails(self, tmp_path):
@@ -455,6 +502,26 @@ class TestExitCodes:
             tracemalloc.stop()
         assert code == 2
         assert capsys.readouterr() == ("", f"error: {err}\n")
+        assert peak < 8 * 2**20
+
+    def test_multiply_dimension_is_bounded(self, tmp_path, capsys):
+        # I^8 of the 12-chain has dim C(19, 8) = 75,582: building its oracle
+        # table took 11.7 s and 898 MiB on a 2-core VM; the dim is counted
+        names = [f"x{i}" for i in range(12)]
+        f = tmp_path / "chain12.poset"
+        f.write_text(f"elements: {' '.join(names)}\ncovers:\n" + "".join(f"{x} {y}\n" for x, y in zip(names, names[1:])))
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code = cli.main(["multiply", str(f), "--n", "8", "--lhs", "[]", "--rhs", "[]"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"error: multiply needs dim at most {cli.MAX_MULTIPLY_DIM} (this algebra has dim 75582)\n"
+        )
         assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("command", ["multiply", "derivations"])

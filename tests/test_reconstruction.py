@@ -321,9 +321,11 @@ class TestRootSearchIsPolynomial:
 
     @pytest.mark.parametrize("m", [20, 40])
     def test_diagonal_table(self, m):
-        # the first probe has eigenvalues 1..m, so its constant term is m!
-        sc = StructureConstants(m, Q, {(i, i): [(i, 1)] for i in range(m)})
-        poset = self.reconstruct_timed(AbstractAlgebra(sc))
+        # Q^m with b_0 = sum_k (k+1) e_k: the first probe, b_0, has
+        # eigenvalues 1..m, so its constant term is m!
+        ctx = AlgebraContext(antichain(m), 3, Q)
+        columns = [{k: k + 1 for k in range(m)}] + [{k: 1} for k in range(1, m)]
+        poset = self.reconstruct_timed(conjugate_table(ctx, LinearMap(Q, columns)))
         assert poset.size == m and poset.covers == ()
 
     @pytest.mark.parametrize("exponent", [16, 40])
