@@ -234,9 +234,6 @@ class Submodule:
                 sub_scaled(v, q, row, self.ring)
         return not v
 
-    def is_subset_of(self, other: "Submodule") -> bool:
-        return all(other.contains(row) for row in self.basis)
-
 
 def span(vectors, ring: Ring, ambient: int | None = None) -> Submodule:
     """Canonical-form submodule of R^ambient generated by the given vectors."""
@@ -321,14 +318,6 @@ class LinearMap:
             ech.add_row(col, {j: self.ring.one()})
         return ech if ech.rank == self.dim else None
 
-    def inverse(self):
-        """The inverse map over a field, or None if singular."""
-        ech = self.column_echelon()
-        if ech is None:
-            return None
-        # reducing e_i yields column i of the inverse
-        return LinearMap(self.ring, [ech.reduce({i: self.ring.one()})[1] for i in range(self.dim)])
-
     def __eq__(self, other):
         return (
             isinstance(other, LinearMap)
@@ -338,7 +327,3 @@ class LinearMap:
 
     def __hash__(self):
         return hash((self.ring, tuple(tuple(sorted(c.items())) for c in self.columns)))
-
-    @classmethod
-    def identity(cls, ring: Ring, dim: int) -> "LinearMap":
-        return cls(ring, [{j: ring.one()} for j in range(dim)])

@@ -135,22 +135,6 @@ class Poset:
             ends = [sum(c for c, row in zip(ends, self.leq) if row[y]) for y in range(self.size)]
         return sum(ends)
 
-    def relabel(self, perm):
-        """Image poset under index map x -> perm[x]."""
-        m = self.size
-        leq = [[False] * m for _ in range(m)]
-        for x in range(m):
-            for y in range(m):
-                if self.leq[x][y]:
-                    leq[perm[x]][perm[y]] = True
-        names = [None] * m
-        for x in range(m):
-            names[perm[x]] = self.names[x]
-        return Poset(leq, names=names)
-
-    def dual(self):
-        return Poset(tuple(zip(*self.leq)), names=self.names)
-
     def _invariant(self, x):
         up = sum(self.leq[x][y] for y in range(self.size)) - 1
         down = sum(self.leq[y][x] for y in range(self.size)) - 1
@@ -196,18 +180,28 @@ def _canonical_key(m: int, up):
     return key
 
 
+# the most elements a poset file may name, refused before the two m x m order
+# matrices are built: an m-element poset has dim I^n >= m, `check` and
+# `derivations` take dim at most 210, and on a 2-core VM parsing took 0.25 s
+# for the 200-chain, 0.50 s for the 256-chain, 0.84 s for the 300-chain and
+# 21.8 s for the 800-chain
+MAX_POSET_SIZE = 256
+
+
 def parse_poset(text: str) -> Poset:
     """Parse the line-oriented poset file format.
 
     Line 1: ``elements: <name> ...``; line 2: ``covers:``; then one
     ``<name> <name>`` pair per line (first covered by second).  Lines
-    starting with '#' are ignored.
+    starting with '#' are ignored.  At most MAX_POSET_SIZE names.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("elements:"):
         raise PosetError("expected an 'elements:' line first")
     names = lines[0][len("elements:"):].split()
+    if len(names) > MAX_POSET_SIZE:
+        raise PosetError(f"the file names {len(names)} elements; at most {MAX_POSET_SIZE} are accepted")
     if len(set(names)) != len(names):
         raise PosetError("duplicate element name")
     index = {nm: i for i, nm in enumerate(names)}

@@ -45,27 +45,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _iroot(n: int, k: int) -> int:
-    """floor(n^(1/k)) for n >= 1, by Newton's method on integers."""
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
-def is_prime_power(n: int) -> bool:
-    """n = q^k for a prime q: an integer k-th root, then a primality test."""
-    if n < 2:
-        return False
-    for k in range(1, n.bit_length()):
-        r = _iroot(n, k)
-        if r ** k == n and is_prime(r):
-            return True
-    return False
-
-
 class Ring:
     """Base interface for an exact commutative unital ring.
 
@@ -77,7 +56,6 @@ class Ring:
     is_field: bool
     # span/kernel/quotient machinery is only available over fields and Z
     supports_submodules: bool
-    is_indecomposable: bool
 
     # 0 and 1 are canonical in every ring here, since Z/m needs m >= 2
     def zero(self):
@@ -129,7 +107,6 @@ class Rationals(Ring):
     name = "Q"
     is_field = True
     supports_submodules = True
-    is_indecomposable = True
 
     def __init__(self):
         from fractions import Fraction
@@ -175,7 +152,6 @@ class Integers(Ring):
     name = "Z"
     is_field = False
     supports_submodules = True
-    is_indecomposable = True
 
     def add(self, a, b):
         return a + b
@@ -207,9 +183,11 @@ class ModularRing(Ring):
     def __init__(self, m: int):
         if m < 2:
             raise ValueError("modulus must be >= 2")
+        # Z/m refuses the moduli that F_p refuses, with the same message
+        if m >= MAX_MODULUS:
+            raise ValueError(f"modulus {m} is too large: primality is proven only below {MAX_MODULUS}")
         self.modulus = m
         self.name = f"Zm:{m}"
-        self.is_indecomposable = is_prime_power(m)
 
     def add(self, a, b):
         return (a + b) % self.modulus
@@ -253,7 +231,6 @@ class PrimeField(ModularRing):
             raise ValueError(f"{p} is not prime")
         super().__init__(p)
         self.name = f"Fp:{p}"
-        self.is_indecomposable = True
 
 
 def ring_from_spec(spec: str) -> Ring:

@@ -12,6 +12,7 @@ from flagalg.posets import Poset, antichain, chain, enumerate_posets
 from flagalg.rings import Integers, PrimeField, Rationals
 
 from derivation_oracle import check_derivation_all_pairs, leibniz_system_reference
+from helpers import identity
 
 Q = Rationals()
 
@@ -66,7 +67,7 @@ class TestClassicalContrast:
 
     def test_check_derivation_rejects_identity(self):
         ctx = AlgebraContext(chain(2), 2, Q)
-        assert not check_derivation(ctx, LinearMap.identity(Q, ctx.dim))
+        assert not check_derivation(ctx, identity(Q, ctx.dim))
 
 
 class TestDirectCheck:

@@ -15,8 +15,10 @@ from functools import lru_cache
 from operator import itemgetter
 
 import pytest
+from helpers import dual, relabel
 
 from flagalg.posets import (
+    MAX_POSET_SIZE,
     Poset,
     PosetError,
     antichain,
@@ -79,7 +81,7 @@ def brute_force_canonical_key(p):
 def relabelled(p, rng):
     perm = list(range(p.size))
     rng.shuffle(perm)
-    return p.relabel(perm)
+    return relabel(p, perm)
 
 
 def count_labeled_posets(m):
@@ -151,8 +153,8 @@ class TestConstruction:
 
     def test_dual_is_involution(self):
         v = Poset.from_covers(3, [(0, 1), (0, 2)])
-        assert v.dual().dual().leq == v.leq
-        assert v.dual().covers == ((1, 0), (2, 0))
+        assert dual(dual(v)).leq == v.leq
+        assert dual(v).covers == ((1, 0), (2, 0))
 
 
 class TestMultichains:
@@ -210,6 +212,14 @@ class TestParse:
         with pytest.raises(PosetError):
             parse_poset("elements: a b\ncovers:\na b\na b\n")
 
+    def test_size_cap(self):
+        def antichain_file(m):
+            return "elements: " + " ".join(f"a{i}" for i in range(m)) + "\ncovers:\n"
+
+        assert parse_poset(antichain_file(MAX_POSET_SIZE)).size == MAX_POSET_SIZE
+        with pytest.raises(PosetError, match=f"names {MAX_POSET_SIZE + 1} elements; at most {MAX_POSET_SIZE}"):
+            parse_poset(antichain_file(MAX_POSET_SIZE + 1))
+
 
 class TestIsomorphism:
     def test_chain_automorphisms_trivial(self):
@@ -220,7 +230,7 @@ class TestIsomorphism:
 
     def test_relabel_is_isomorphic(self):
         p = Poset.from_covers(4, [(0, 1), (0, 2), (1, 3)])
-        q = p.relabel((2, 0, 3, 1))
+        q = relabel(p, (2, 0, 3, 1))
         phi = find_isomorphism(p, q)
         assert phi is not None
         for x in range(4):
@@ -229,12 +239,12 @@ class TestIsomorphism:
 
     def test_v_and_wedge_not_isomorphic(self):
         v = Poset.from_covers(3, [(0, 1), (0, 2)])
-        assert find_isomorphism(v, v.dual()) is None
+        assert find_isomorphism(v, dual(v)) is None
 
     def test_canonical_key_is_iso_invariant(self):
         p = Poset.from_covers(4, [(0, 2), (1, 2), (2, 3)])
         for perm in itertools.permutations(range(4)):
-            assert p.relabel(perm).canonical_key() == p.canonical_key()
+            assert relabel(p, perm).canonical_key() == p.canonical_key()
 
     def test_canonical_key_is_least_relabelled_matrix(self):
         # the key is the least integer with bit i*m + j = leq[perm[i]][perm[j]]
@@ -245,7 +255,7 @@ class TestIsomorphism:
                 for _ in range(3):
                     perm = list(range(m))
                     rng.shuffle(perm)
-                    q = p.relabel(perm)
+                    q = relabel(p, perm)
                     best = min(
                         sum(
                             1 << (i * m + j)

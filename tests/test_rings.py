@@ -1,4 +1,4 @@
-"""Coefficient ring layer: axioms, parsing, indecomposability detection."""
+"""Coefficient ring layer: axioms, parsing, primality."""
 
 from fractions import Fraction
 
@@ -13,7 +13,6 @@ from flagalg.rings import (
     Rationals,
     MAX_MODULUS,
     is_prime,
-    is_prime_power,
     ring_from_spec,
 )
 
@@ -98,14 +97,6 @@ def test_modular_ring_units():
         r.inv(2)  # zero divisor
 
 
-def test_indecomposability_flags():
-    assert Rationals().is_indecomposable
-    assert Integers().is_indecomposable
-    assert PrimeField(2).is_indecomposable
-    assert ModularRing(8).is_indecomposable  # 2^3
-    assert not ModularRing(6).is_indecomposable  # 2*3, has idempotent 3
-
-
 def test_ring_from_spec():
     assert ring_from_spec("Q").name == "Q"
     assert ring_from_spec("Z").name == "Z"
@@ -119,22 +110,13 @@ def test_ring_from_spec():
 def test_primality_helpers():
     primes = [p for p in range(2, 60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
-    assert is_prime_power(27) and is_prime_power(32) and is_prime_power(5)
-    assert not is_prime_power(1) and not is_prime_power(12) and not is_prime_power(36)
 
 
 def test_primality_matches_trial_division():
     def by_trial_division(n):
         return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
 
-    def prime_power_by_trial_division(n):
-        q = next((d for d in range(2, n + 1) if n % d == 0), None)
-        while q and n % q == 0:
-            n //= q
-        return q is not None and n == 1
-
     assert all(is_prime(n) == by_trial_division(n) for n in range(-2, 5000))
-    assert all(is_prime_power(n) == prime_power_by_trial_division(n) for n in range(-2, 3000))
 
 
 def test_primality_of_large_moduli():
@@ -142,8 +124,6 @@ def test_primality_of_large_moduli():
     for n in (3215031751, 3825123056546413051, 318665857834031151167461):
         assert not is_prime(n)
     assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
-    assert is_prime_power(2**81) and is_prime_power(3**50) and is_prime_power((2**31 - 1) ** 2)
-    assert not is_prime_power(6**30) and not is_prime_power(2**61 + 1)
     for n in (MAX_MODULUS, 2**89 - 1):
         with pytest.raises(ValueError, match=f"proven only below {MAX_MODULUS}"):
             is_prime(n)
