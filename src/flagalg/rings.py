@@ -183,9 +183,6 @@ class ModularRing(Ring):
     def __init__(self, m: int):
         if m < 2:
             raise ValueError("modulus must be >= 2")
-        # Z/m refuses the moduli that F_p refuses, with the same message
-        if m >= MAX_MODULUS:
-            raise ValueError(f"modulus {m} is too large: primality is proven only below {MAX_MODULUS}")
         self.modulus = m
         self.name = f"Zm:{m}"
 

@@ -361,19 +361,28 @@ class TestExitCodes:
         )
         assert r.stderr == f"reconstruct: FAILED: {report['diagnostic']}\n"
 
-    @pytest.mark.parametrize("spec", ["Fp", "Zm"])
-    def test_oversized_modulus_is_refused(self, chain2, spec):
+    def test_oversized_modulus_is_refused(self, chain2):
         # 2^61 - 1 is proven prime at once; the bound is where the
         # 13-base Miller-Rabin test stops being a proof
-        r = run_cli("check", chain2, "--ring", f"{spec}:2305843009213693951", timeout=60)
-        assert json.loads(r.stdout)["ring"] == f"{spec}:2305843009213693951"
-        r = run_cli("check", chain2, "--ring", f"{spec}:3317044064679887385961981", timeout=60)
+        r = run_cli("check", chain2, "--ring", "Fp:2305843009213693951", timeout=60)
+        assert json.loads(r.stdout)["ring"] == "Fp:2305843009213693951"
+        r = run_cli("check", chain2, "--ring", "Fp:3317044064679887385961981", timeout=60)
         assert r.returncode == 2
         assert r.stdout == ""
         assert r.stderr == (
             "error: modulus 3317044064679887385961981 is too large: primality is proven only below "
             "3317044064679887385961981\n"
         )
+
+    def test_zm_takes_any_modulus(self, chain2):
+        # Z/m runs no primality test, so F_p's bound does not apply: a
+        # modulus at or above it gives Zm:6's report and exit code
+        small = run_cli("check", chain2, "--ring", "Zm:6")
+        for m in (3317044064679887385961981, 2**89 - 1):
+            r = run_cli("check", chain2, "--ring", f"Zm:{m}", timeout=60)
+            assert r.returncode == small.returncode
+            assert r.stdout == small.stdout.replace("Zm:6", f"Zm:{m}")
+            assert r.stderr == small.stderr.replace("Zm:6", f"Zm:{m}")
 
     def test_ring_mismatch_is_input_error(self, zero_table):
         assert run_cli("reconstruct", zero_table, "--ring", "Fp:2").returncode == 2

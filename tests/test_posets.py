@@ -9,13 +9,17 @@ The canonical key is checked against the minimum over all m! relabellings.
 import hashlib
 import itertools
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 
 import pytest
-from helpers import dual, relabel
+from helpers import dual, reference_from_covers, reference_order, relabel
 
 from flagalg.posets import (
     MAX_POSET_SIZE,
@@ -155,6 +159,116 @@ class TestConstruction:
         v = Poset.from_covers(3, [(0, 1), (0, 2)])
         assert dual(dual(v)).leq == v.leq
         assert dual(v).covers == ((1, 0), (2, 0))
+
+
+def built(build, *args):
+    """("error", message) if build(*args) raises PosetError, else
+    (leq, covers) of the poset, or of the reference's pair."""
+    try:
+        p = build(*args)
+    except PosetError as e:
+        return "error", str(e)
+    if isinstance(p, Poset):
+        m = p.size
+        assert p.up == tuple(sum(1 << y for y in range(m) if p.leq[x][y]) for x in range(m))
+        return p.leq, p.covers
+    return p
+
+
+def acyclic_pairs(rng, m):
+    """Random pairs x -> y, x before y in a random labelling."""
+    perm, density = rng.sample(range(m), m), rng.random()
+    return [(perm[x], perm[y]) for x in range(m) for y in range(x + 1, m) if rng.random() < density]
+
+
+def relation_case(kind, rng):
+    """(m, rows or None, cover pairs on range(m) or None) for one random
+    case of the kind."""
+    m = rng.randint(1, 8)
+    pairs = acyclic_pairs(rng, m)
+    leq = [list(row) for row in reference_from_covers(m, pairs)[0]]
+    comparable = [(x, y) for x in range(m) for y in range(m) if x != y and leq[x][y]]
+    if kind == "order":
+        return m, leq, pairs
+    if kind == "non-square":
+        row = rng.choice(leq)
+        if rng.random() < 0.5:
+            row.append(False)
+        elif rng.random() < 0.5:
+            row.pop()
+        else:
+            leq.append([False] * m)
+        return m, leq, None
+    if kind == "not-reflexive":
+        for x in rng.sample(range(m), rng.randint(1, m)):
+            leq[x][x] = False
+        return m, leq, None
+    if kind == "2-cycle" and m >= 2:
+        x, y = rng.sample(range(m), 2)
+        leq[x][y] = leq[y][x] = True
+        return m, leq, None
+    if kind == "missing-transitive-pair":
+        implied = [(x, z) for (x, z) in comparable if (x, z) not in reference_order(leq)[1]]
+        if implied:
+            for x, z in rng.sample(implied, rng.randint(1, min(3, len(implied)))):
+                leq[x][z] = False
+            return m, leq, None
+    if kind == "cyclic-covers" and comparable:
+        x, y = rng.choice(comparable)
+        return m, None, pairs + [(y, x)] + rng.sample(pairs, len(pairs) // 2)
+    if kind == "relation":
+        density = rng.random()
+        return m, [[rng.random() < (0.9 if x == y else density) for y in range(m)] for x in range(m)], None
+    return relation_case(kind, rng)  # the draw cannot make this kind; draw again
+
+
+class TestBitmaskBuild:
+    """Poset's build on up-set bitmasks against the cubic reference on
+    boolean rows: the same leq, covers and PosetError text."""
+
+    # the starts of the PosetError messages each kind of case gives
+    ERRORS = {
+        "order": (),
+        "non-square": ("leq relation must be square",),
+        "not-reflexive": ("relation is not reflexive",),
+        "2-cycle": ("relation is not",),
+        "missing-transitive-pair": ("relation is not transitive",),
+        "cyclic-covers": ("cycle detected in declared relation",),
+        "relation": ("relation is not reflexive", "relation is not antisymmetric", "relation is not transitive"),
+    }
+
+    @pytest.mark.parametrize("kind", ERRORS)
+    def test_same_order_covers_and_errors_as_the_reference(self, kind):
+        rng = random.Random(f"bitmask-{kind}")
+        outcomes = []
+        for _ in range(300):
+            m, leq, pairs = relation_case(kind, rng)
+            if leq is not None:
+                outcomes.append(built(Poset, leq))
+                assert outcomes[-1] == built(reference_order, leq)
+            if pairs is not None:
+                outcomes.append(built(Poset.from_covers, m, pairs))
+                assert outcomes[-1] == built(reference_from_covers, m, pairs)
+        errors = [message for status, message in outcomes if status == "error"]
+        # every error has one of the expected starts, and each start occurs
+        errors_start = self.ERRORS[kind]
+        assert all(message.startswith(errors_start) for message in errors)
+        assert all(any(message.startswith(start) for message in errors) for start in errors_start)
+        if kind != "relation":
+            assert len(errors) == (0 if kind == "order" else len(outcomes))
+
+    def test_from_covers_of_a_1000_chain_is_bounded(self):
+        # the cubic build took 4.7 s for the 500-chain on a 2-core VM
+        code = "from flagalg.posets import chain\nprint(len(chain(1000).covers))\n"
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        r = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert (r.returncode, r.stdout, r.stderr) == (0, "999\n", "")
 
 
 class TestMultichains:
