@@ -20,7 +20,6 @@ _EXPORTS = {
     "derivations": ("check_derivation", "derivation_basis", "leibniz_system"),
     "lattice": (
         "QuotientAlgebra",
-        "commutator_submodule",
         "ideal_J",
         "mul_submodule",
         "primitive_idempotents",

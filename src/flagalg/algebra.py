@@ -50,7 +50,7 @@ class AlgebraContext:
             p, n, index, ring = self.poset, self.n, self.index, self.ring
             one, table = ring.one(), {}
             for k, t in enumerate(self.basis):
-                iv = [sorted(p.interval(t[i], t[i + 1])) for i in range(n - 1)]
+                iv = [p.interval(t[i], t[i + 1]) for i in range(n - 1)]
                 for m in itertools.product(*iv):
                     entry = table.setdefault((index[(t[0],) + m], index[m + (t[n - 1],)]), {})
                     entry[k] = ring.add(entry.get(k, ring.zero()), one)
@@ -93,7 +93,7 @@ def basis_product(ctx: AlgebraContext, x, y) -> dict:
     if u != v:
         return {}
     p = ctx.poset
-    iv = [sorted(p.interval(u[i], u[i + 1])) for i in range(n - 2)]
+    iv = [p.interval(u[i], u[i + 1]) for i in range(n - 2)]
     # distinct middles give distinct basis tuples: every coefficient is one
     one = ctx.ring.one()
     return {ctx.index[(x[0],) + mid + (y[n - 1],)]: one for mid in itertools.product(*iv)}
@@ -255,7 +255,7 @@ def power_assoc_witness(ctx: AlgebraContext):
             (x, y)
             for x in range(p.size)
             for y in range(p.size)
-            if x != y and p.leq[x][y]
+            if x != y and p.up[x] >> y & 1
         ),
         None,
     )

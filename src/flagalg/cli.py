@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import __version__
-from .posets import PosetError, enumerate_posets, format_poset, parse_poset
+from .posets import MAX_ENUM_SIZE, PosetError, enumerate_posets, format_poset, parse_poset
 from .rings import CapabilityError, ring_from_spec
 
 # Each command imports the pipeline it runs, so a job compiles only the
@@ -239,8 +239,8 @@ def cmd_multiply(args):
 
 
 def cmd_enumerate_posets(args):
-    if not 1 <= args.size <= 6:
-        raise CliError("size must be between 1 and 6")
+    if not 1 <= args.size <= MAX_ENUM_SIZE:
+        raise CliError(f"size must be between 1 and {MAX_ENUM_SIZE}")
     posets = enumerate_posets(args.size)
     report = {"size": args.size, "count": len(posets), "posets": [format_poset(p) for p in posets]}
     return EXIT_OK, report, f"{len(posets)} classes of size {args.size}"

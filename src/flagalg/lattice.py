@@ -34,11 +34,6 @@ def mul_submodule(sc: StructureConstants, u: Submodule, v: Submodule) -> Submodu
     return span(prods, sc.ring, sc.dim)
 
 
-def commutator_submodule(sc: StructureConstants, u: Submodule, v: Submodule) -> Submodule:
-    vecs = [sc.commutator_vec(a, b) for a in u.basis for b in v.basis]
-    return span(vecs, sc.ring, sc.dim)
-
-
 def commutator_chain(sc: StructureConstants):
     """(C1, C2, C3) with C1 = [A, A] and C(k+1) = [Ck, Ck], as Submodules.
 

@@ -6,10 +6,10 @@ Submodules of R^d are kept in a canonical basis (reduced row echelon form
 over fields, row-style Hermite normal form over Z), so equal submodules
 compare equal.  Every elimination over a field goes through SparseEchelon,
 which indexes each non-pivot column by the stored rows holding it, so a new
-pivot is eliminated only where it occurs; over Z, spans and kernel lattices
-go through the one sparse `hnf`, which keeps its work rows bucketed by
-leading column.  A LinearMap keeps its matrix as sparse columns; only
-`LinearMap.matrix` builds dense lists, for reports.
+pivot is eliminated only where it occurs; over Z, spans, kernel lattices
+and membership go through the one sparse `hnf`, which buckets its work
+rows by leading column.  A LinearMap keeps its matrix as sparse columns;
+only `LinearMap.matrix` builds dense lists, for reports.
 """
 
 from __future__ import annotations
@@ -149,13 +149,13 @@ def hnf(rows):
 
     Convention (fixed once for the whole package): pivots are positive,
     rows are sorted by pivot column, and entries above a pivot are reduced
-    into [0, pivot).  Zero rows are dropped.
+    into [0, pivot).  Zero entries and zero rows are dropped.
     """
     z = Integers()
     lead = {}  # leading column -> the work rows that start there
     for r in rows:
-        if r:
-            lead.setdefault(min(r), []).append(dict(r))
+        if r := {c: x for c, x in r.items() if x}:
+            lead.setdefault(min(r), []).append(r)
     done = []  # the pivot rows, by pivot column
     while lead:
         col = min(lead)
@@ -191,7 +191,8 @@ class Submodule:
     """An R-submodule of R^d in canonical basis form.
 
     Over a field it keeps the echelon `span` built, and membership is a
-    residue test on it; over Z membership divides down the HNF pivots.
+    residue test on it; over Z a vector is a member iff adding it leaves
+    the HNF unchanged, since a lattice has exactly one HNF.
     """
 
     __slots__ = ("ring", "ambient", "basis", "_echelon")
@@ -224,15 +225,7 @@ class Submodule:
         _check_bounds(vector, self.ambient)
         if self._echelon is not None:
             return not self._echelon.reduce(vector)[0]
-        v = dict(vector)
-        for row in self.basis:
-            pc = min(row)
-            q, r = divmod(v.get(pc, 0), row[pc])
-            if r != 0:
-                return False
-            if q:
-                sub_scaled(v, q, row, self.ring)
-        return not v
+        return hnf([*self.basis, vector]) == list(self.basis)
 
 
 def span(vectors, ring: Ring, ambient: int | None = None) -> Submodule:

@@ -25,11 +25,12 @@ class Poset:
         size: number of elements
         leq:  tuple of row tuples of booleans, leq[x][y] iff x <= y
         up:   tuple of up-set bitmasks, bit y of up[x] set iff x <= y
+        down: tuple of down-set bitmasks, bit x of down[y] set iff x <= y
         covers: ordered pairs (x, y) with y covering x
         names: element names (defaults to str(index))
     """
 
-    __slots__ = ("size", "leq", "up", "covers", "names", "_heights")
+    __slots__ = ("size", "leq", "up", "down", "covers", "names", "_heights")
 
     def __init__(self, leq, names=None):
         m = len(leq)
@@ -51,6 +52,7 @@ class Poset:
         self.size = m
         self.leq = leq
         self.up = up
+        self.down = tuple(down)
         self.names = tuple(names) if names is not None else tuple(str(i) for i in range(m))
         if len(self.names) != m:
             raise PosetError("names table length mismatch")
@@ -78,19 +80,19 @@ class Poset:
         return cls([[c == "1" for c in reversed(f"{u:0{size}b}")] for u in up], names=names)
 
     def interval(self, x, y):
-        """The set {z : x <= z <= y}; x <= y required."""
-        if not self.leq[x][y]:
+        """The elements z with x <= z <= y, ascending; x <= y required."""
+        if not self.up[x] >> y & 1:
             raise InvalidIntervalError(f"{x} is not <= {y}")
-        return {z for z in range(self.size) if self.leq[x][z] and self.leq[z][y]}
+        return list(_bits(self.up[x] & self.down[y]))
 
     def _chain_heights(self, elems):
-        """For each z in elems, the longest cover chain within elems that
-        ends at z (elems is an interval or all of P, so convex)."""
-        best = {z: 0 for z in elems}
-        for z in sorted(elems, key=lambda z: sum(self.leq[w][z] for w in elems)):
-            for (a, b) in self.covers:
-                if a == z and b in best:
-                    best[b] = max(best[b], best[z] + 1)
+        """For each z in elems, the longest chain within elems that ends at z
+        (elems is an interval or all of P, so convex)."""
+        down, inside = self.down, sum(1 << z for z in elems)
+        best = {}
+        # fewer elements below come first, so every w < z precedes z
+        for z in sorted(elems, key=lambda z: (down[z] & inside).bit_count()):
+            best[z] = max((best[w] + 1 for w in _bits(down[z] & inside & ~(1 << z))), default=0)
         return best
 
     def length(self, x, y) -> int:
@@ -114,24 +116,23 @@ class Poset:
         """All weakly increasing n-tuples in lexicographic index order."""
         if n < 1:
             raise ValueError("n must be >= 1")
+        above = [list(_bits(u)) for u in self.up]
         chains = [(x,) for x in range(self.size)]
         for _ in range(n - 1):
-            chains = [c + (y,) for c in chains for y in range(self.size) if self.leq[c[-1]][y]]
+            chains = [c + (y,) for c in chains for y in above[c[-1]]]
         return chains
 
     def count_multichains(self, n: int) -> int:
-        """len(self.multichains(n)), by n - 1 passes over the leq rows."""
+        """len(self.multichains(n)), by n - 1 passes over the down-sets."""
         if n < 1:
             raise ValueError("n must be >= 1")
         ends = [1] * self.size  # the chains so far that end at each element
         for _ in range(n - 1):
-            ends = [sum(c for c, row in zip(ends, self.leq) if row[y]) for y in range(self.size)]
+            ends = [sum(ends[x] for x in _bits(d)) for d in self.down]
         return sum(ends)
 
     def _invariant(self, x):
-        up = sum(self.leq[x][y] for y in range(self.size)) - 1
-        down = sum(self.leq[y][x] for y in range(self.size)) - 1
-        return (up, down, self.height(x))
+        return (self.up[x].bit_count() - 1, self.down[x].bit_count() - 1, self.height(x))
 
     def canonical_key(self):
         """Isomorphism-invariant canonical encoding: the least integer with
@@ -262,7 +263,7 @@ def _isomorphisms(p: Poset, q: Poset):
             ok = True
             for x2 in order[:k]:
                 y2 = phi[x2]
-                if p.leq[x][x2] != q.leq[y][y2] or p.leq[x2][x] != q.leq[y2][y]:
+                if p.up[x] >> x2 & 1 != q.up[y] >> y2 & 1 or p.down[x] >> x2 & 1 != q.down[y] >> y2 & 1:
                     ok = False
                     break
             if ok:
@@ -288,11 +289,8 @@ def automorphisms(p: Poset):
 def is_order_isomorphism(p: Poset, q: Poset, phi) -> bool:
     if p.size != q.size or sorted(phi) != list(range(p.size)):
         return False
-    return all(
-        p.leq[x][y] == q.leq[phi[x]][phi[y]]
-        for x in range(p.size)
-        for y in range(p.size)
-    )
+    # a bijection preserves the order iff it maps each up-set onto the image's
+    return all(sum(1 << phi[y] for y in _bits(u)) == q.up[phi[x]] for x, u in enumerate(p.up))
 
 
 MAX_ENUM_SIZE = 6

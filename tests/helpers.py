@@ -2,12 +2,14 @@
 
 No command or pipeline relabels or dualises a poset, compares two
 submodules, or builds an identity or inverse map, so the library does not
-ship these.  The cubic order build on boolean rows is kept here as the
-reference that Poset's bitmask build is compared with.
+ship these.  The cubic order build, the order queries on boolean rows and
+the divide-down membership test over Z are kept here as the references
+that Poset's bitmask build and queries and Submodule.contains are
+compared with.
 """
 
-from flagalg.linalg import LinearMap, Submodule
-from flagalg.posets import Poset, PosetError
+from flagalg.linalg import LinearMap, Submodule, sub_scaled
+from flagalg.posets import InvalidIntervalError, Poset, PosetError
 from flagalg.rings import Ring
 
 
@@ -74,6 +76,71 @@ def reference_from_covers(size, cover_pairs):
             if i != j and leq[i][j] and leq[j][i]:
                 raise PosetError("cycle detected in declared relation")
     return reference_order(leq)
+
+
+def reference_interval(p: Poset, x, y):
+    """The set {z : x <= z <= y}, read off the leq rows; x <= y required."""
+    if not p.leq[x][y]:
+        raise InvalidIntervalError(f"{x} is not <= {y}")
+    return {z for z in range(p.size) if p.leq[x][z] and p.leq[z][y]}
+
+
+def reference_chain_heights(p: Poset, elems):
+    """For each z in elems, the longest cover chain within elems that ends
+    at z (elems is an interval or all of P, so convex)."""
+    best = {z: 0 for z in elems}
+    for z in sorted(elems, key=lambda z: sum(p.leq[w][z] for w in elems)):
+        for (a, b) in p.covers:
+            if a == z and b in best:
+                best[b] = max(best[b], best[z] + 1)
+    return best
+
+
+def reference_multichains(p: Poset, n: int):
+    """All weakly increasing n-tuples in lexicographic index order."""
+    chains = [(x,) for x in range(p.size)]
+    for _ in range(n - 1):
+        chains = [c + (y,) for c in chains for y in range(p.size) if p.leq[c[-1]][y]]
+    return chains
+
+
+def reference_count_multichains(p: Poset, n: int) -> int:
+    """len(reference_multichains(p, n)), by n - 1 passes over the leq rows."""
+    ends = [1] * p.size  # the chains so far that end at each element
+    for _ in range(n - 1):
+        ends = [sum(c for c, row in zip(ends, p.leq) if row[y]) for y in range(p.size)]
+    return sum(ends)
+
+
+def reference_invariant(p: Poset, x):
+    """(up-degree, down-degree, height) of x, read off the leq rows."""
+    up = sum(p.leq[x][y] for y in range(p.size)) - 1
+    down = sum(p.leq[y][x] for y in range(p.size)) - 1
+    return (up, down, reference_chain_heights(p, range(p.size))[x])
+
+
+def reference_is_order_isomorphism(p: Poset, q: Poset, phi) -> bool:
+    if p.size != q.size or sorted(phi) != list(range(p.size)):
+        return False
+    return all(
+        p.leq[x][y] == q.leq[phi[x]][phi[y]]
+        for x in range(p.size)
+        for y in range(p.size)
+    )
+
+
+def reference_contains(s: Submodule, vector: dict) -> bool:
+    """Membership in a Z-submodule by dividing the vector down the pivots
+    of its HNF basis."""
+    v = dict(vector)
+    for row in s.basis:
+        pc = min(row)
+        q, r = divmod(v.get(pc, 0), row[pc])
+        if r != 0:
+            return False
+        if q:
+            sub_scaled(v, q, row, s.ring)
+    return not v
 
 
 def is_subset_of(a: Submodule, b: Submodule) -> bool:

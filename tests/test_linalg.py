@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import inverse, is_subset_of
+from helpers import inverse, is_subset_of, reference_contains
 from hypothesis import example, given, settings, strategies as st
 
 from flagalg.linalg import (
@@ -241,6 +241,44 @@ def test_submodule_contains_member():
         for i, x in row.items():
             member[i] = member.get(i, 0) + x
     assert s.contains({i: x for i, x in member.items() if x})
+
+
+@pytest.mark.parametrize("ring, basis", [(Z, ({0: 2}, {1: 3})), (Q, ({0: 1}, {1: 1}))], ids=["Z", "Q"])
+def test_explicit_zero_entries_are_no_entries(ring, basis):
+    # an entry 0 is no entry: over Z it must never become an hnf pivot,
+    # which divides by it, gives the zero module rank 1 or leaves 0 outside
+    assert span([{0: 2}, {0: 0, 1: 3}], ring, 2).basis == basis
+    assert span([{0: 0}], ring, 2).basis == ()
+    assert span([{0: 2}], ring, 2).contains({0: 0})
+
+
+def z_lattices():
+    """Seeded Z-submodules of Z^d, d <= 6, from `span` and from `kernel`."""
+    rng = random.Random("z-lattices")
+    entry = lambda: rng.randint(-9, 9) if rng.random() < 0.6 else 0
+    for _ in range(40):
+        d = rng.randint(1, 6)
+        rows = [sparse([entry() for _ in range(d)]) for _ in range(rng.randint(0, d + 1))]
+        yield span(rows, Z, d)
+        yield kernel(rows, d, Z)
+
+
+def test_integer_membership_matches_the_divide_down_reference():
+    # members are integer combinations of the basis; the vectors one step
+    # of +-1 off a member are members only for some lattices
+    rng = random.Random("z-members")
+    verdicts = []
+    for s in z_lattices():
+        for _ in range(10):
+            member = {}
+            for row in s.basis:
+                sub_scaled(member, rng.randint(-3, 3), row, Z)
+            off = dict(member)
+            sub_scaled(off, rng.choice((-1, 1)), {rng.randrange(s.ambient): 1}, Z)
+            assert s.contains(member) and reference_contains(s, member), (s.basis, member)
+            verdicts.append(s.contains(off))
+            assert verdicts[-1] == reference_contains(s, off), (s.basis, off)
+    assert verdicts.count(False) > 500 and verdicts.count(True) > 100
 
 
 @pytest.mark.parametrize("ring", [Q, Z], ids=lambda r: r.name)

@@ -19,7 +19,18 @@ from functools import lru_cache
 from operator import itemgetter
 
 import pytest
-from helpers import dual, reference_from_covers, reference_order, relabel
+from helpers import (
+    dual,
+    reference_chain_heights,
+    reference_count_multichains,
+    reference_from_covers,
+    reference_interval,
+    reference_invariant,
+    reference_is_order_isomorphism,
+    reference_multichains,
+    reference_order,
+    relabel,
+)
 
 from flagalg.posets import (
     MAX_POSET_SIZE,
@@ -31,6 +42,7 @@ from flagalg.posets import (
     enumerate_posets,
     find_isomorphism,
     format_poset,
+    is_order_isomorphism,
     parse_poset,
 )
 
@@ -163,7 +175,7 @@ class TestConstruction:
 
 def built(build, *args):
     """("error", message) if build(*args) raises PosetError, else
-    (leq, covers) of the poset, or of the reference's pair."""
+    (leq, covers) of the poset, or whatever else build returned."""
     try:
         p = build(*args)
     except PosetError as e:
@@ -300,6 +312,61 @@ class TestMultichains:
                 assert p.count_multichains(n) == len(p.multichains(n))
         with pytest.raises(ValueError, match="n must be >= 1"):
             chain(2).count_multichains(0)
+
+
+def query_posets():
+    """Every poset of size <= 5, then 40 seeded random posets of sizes 6-12."""
+    rng = random.Random("mask-queries")
+    posets = [p for m in range(1, 6) for p in enumerate_posets(m)]
+    for _ in range(40):
+        m = rng.randint(6, 12)
+        posets.append(Poset.from_covers(m, acyclic_pairs(rng, m)))
+    return posets
+
+
+class TestMaskQueries:
+    """The order queries on up- and down-set bitmasks against the same
+    queries on the leq rows: equal values, lists in the same order."""
+
+    def test_intervals_and_lengths(self):
+        for p in query_posets():
+            for x in range(p.size):
+                for y in range(p.size):
+                    got = built(p.interval, x, y)
+                    if p.leq[x][y]:
+                        iv = reference_interval(p, x, y)
+                        assert got == sorted(iv), (p.leq, x, y)
+                        assert p.length(x, y) == reference_chain_heights(p, iv)[y]
+                    else:
+                        assert got == built(reference_interval, p, x, y) == ("error", f"{x} is not <= {y}")
+
+    def test_multichains_and_their_count(self):
+        for p in query_posets():
+            for n in (1, 2, 3):
+                assert p.multichains(n) == reference_multichains(p, n), (p.leq, n)
+            for n in (1, 2, 3, 5):
+                assert p.count_multichains(n) == reference_count_multichains(p, n), (p.leq, n)
+
+    def test_invariants_and_heights(self):
+        for p in query_posets():
+            for x in range(p.size):
+                assert p._invariant(x) == reference_invariant(p, x), (p.leq, x)
+            assert p.poset_length() == max(reference_chain_heights(p, range(p.size)).values())
+
+    def test_is_order_isomorphism(self):
+        rng = random.Random("mask-isomorphisms")
+        verdicts = []
+        for p in query_posets():
+            m = p.size
+            perm = rng.sample(range(m), m)
+            q = relabel(p, perm)
+            maps = [perm, find_isomorphism(p, q), rng.sample(range(m), m), list(range(m))]
+            maps += [perm[:-1] + perm[:1], perm[:-1]]  # not bijections
+            for target in (q, p, chain(m), antichain(m + 1)):
+                for phi in maps:
+                    verdicts.append(is_order_isomorphism(p, target, phi))
+                    assert verdicts[-1] == reference_is_order_isomorphism(p, target, phi), (p.leq, phi)
+        assert True in verdicts and False in verdicts
 
 
 class TestParse:
