@@ -8,8 +8,7 @@ compare equal.  Every elimination over a field goes through SparseEchelon,
 which indexes each non-pivot column by the stored rows holding it, so a new
 pivot is eliminated only where it occurs; over Z, spans, kernel lattices
 and membership go through the one sparse `hnf`, which buckets its work
-rows by leading column.  A LinearMap keeps its matrix as sparse columns;
-only `LinearMap.matrix` builds dense lists, for reports.
+rows by leading column.  A LinearMap keeps its matrix as sparse columns.
 """
 
 from __future__ import annotations
@@ -289,12 +288,6 @@ class LinearMap:
     @property
     def dim(self):
         return len(self.columns)
-
-    @property
-    def matrix(self):
-        """The dense rows, for reports."""
-        zero = self.ring.zero()
-        return tuple(tuple(col.get(i, zero) for col in self.columns) for i in range(self.dim))
 
     def apply(self, vector: dict) -> dict:
         ring = self.ring

@@ -1,7 +1,9 @@
 """Command line harness: exit codes, determinism, report shapes."""
 
+import contextlib
 import itertools
 import json
+import os
 import pathlib
 import random
 import subprocess
@@ -24,6 +26,7 @@ from flagalg.rings import PrimeField, Rationals, ring_from_spec
 DATA = pathlib.Path(__file__).parent / "data"
 
 CHAIN2 = "elements: a b\ncovers:\na b\n"
+WRITE_ERRORS = {"/dev/full": "[Errno 28] No space left on device", "pipe": "[Errno 32] Broken pipe"}
 ZERO_TABLE = '{"dim":2,"ring":"Q","table":[]}'
 
 
@@ -41,6 +44,14 @@ def run_cli(*args, **kw):
         text=True,
         **kw,
     )
+
+
+def chain_file(tmp_path, m):
+    """The path of a new file holding the m-chain x0 < x1 < ... under tmp_path."""
+    names = [f"x{i}" for i in range(m)]
+    f = tmp_path / f"chain{m}.poset"
+    f.write_text(f"elements: {' '.join(names)}\ncovers:\n" + "".join(f"{x} {y}\n" for x, y in zip(names, names[1:])))
+    return str(f)
 
 
 @pytest.fixture
@@ -432,6 +443,29 @@ class TestExitCodes:
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("error: cannot write report") and r.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("sink", WRITE_ERRORS)
+    def test_unwritable_stdout_is_input_error(self, tmp_path, sink, unbuffered):
+        # buffered, a small report fails only at the flush, and the
+        # interpreter's own flush at exit must not fail after it; the 10-chain's
+        # --n 2 report (about 2 MB) outgrows the pipe once the reader is gone
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [sys.executable, "-m", "flagalg.cli"]
+        if sink == "/dev/full":
+            with open(sink, "w") as full:
+                r = subprocess.run([*argv, "enumerate-posets", "1"], stdout=full, stderr=subprocess.PIPE, env=env)
+            code, err = r.returncode, r.stderr
+        else:
+            argv += ["derivations", chain_file(tmp_path, 10), "--n", "2"]
+            with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as p:
+                assert p.stdout.read(1) == b"{"
+                p.stdout.close()
+                err = p.stderr.read()
+            code = p.returncode
+        assert (code, err.decode()) == (2, f"error: cannot write report: {WRITE_ERRORS[sink]}\n")
+
     def test_multiply_names_an_unknown_tuple(self, chain2):
         r = run_cli("multiply", chain2, "--lhs", '[[[0,0,1],"1"]]', "--rhs", '[[[0,0,9],"1"]]')
         assert r.returncode == 2
@@ -495,12 +529,10 @@ class TestExitCodes:
     def test_dimension_refusal_counts_without_building(self, tmp_path, capsys, command, err):
         # the 150-chain's 573,800 multichains are counted, not built: building
         # them peaked at 41 MiB for check and 79 MiB for derivations
-        names = [f"x{i}" for i in range(150)]
-        f = tmp_path / "chain150.poset"
-        f.write_text(f"elements: {' '.join(names)}\ncovers:\n" + "".join(f"{x} {y}\n" for x, y in zip(names, names[1:])))
+        f = chain_file(tmp_path, 150)
         tracemalloc.start()
         try:
-            code = cli.main([command, str(f)])
+            code = cli.main([command, f])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -511,13 +543,11 @@ class TestExitCodes:
     def test_multiply_dimension_is_bounded(self, tmp_path, capsys):
         # I^8 of the 12-chain has dim C(19, 8) = 75,582: building its oracle
         # table took 11.7 s and 898 MiB on a 2-core VM; the dim is counted
-        names = [f"x{i}" for i in range(12)]
-        f = tmp_path / "chain12.poset"
-        f.write_text(f"elements: {' '.join(names)}\ncovers:\n" + "".join(f"{x} {y}\n" for x, y in zip(names, names[1:])))
+        f = chain_file(tmp_path, 12)
         start = time.perf_counter()
         tracemalloc.start()
         try:
-            code = cli.main(["multiply", str(f), "--n", "8", "--lhs", "[]", "--rhs", "[]"])
+            code = cli.main(["multiply", f, "--n", "8", "--lhs", "[]", "--rhs", "[]"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -751,6 +781,21 @@ class TestDerivations:
         assert r.returncode == 0
         assert r.stdout == (DATA / "derivations_chain3_n2_z.json").read_text()
         assert r.stderr == "derivations: n=2, kernel rank 5\n"
+
+    def test_report_streams_in_small_memory(self, tmp_path):
+        # the 12-chain's --n 2 basis is 77 dense 78 x 78 maps: a fresh string
+        # per entry, held again by json.dumps' chunks and the joined text,
+        # peaked at 80 MiB in process
+        argv = ["derivations", chain_file(tmp_path, 12), "--n", "2", "--ring", "Fp:262139"]
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+                code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 16 * 2**20
 
     def test_higher_n_is_flagged_unverified(self, chain2):
         r = run_cli("derivations", chain2, "--n", "4")

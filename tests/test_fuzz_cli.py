@@ -1,5 +1,6 @@
 """Hypothesis fuzzers through `cli.main`, in process: ring specs, poset text,
-`multiply` element JSON and `reconstruct` table JSON.
+`multiply` element JSON and `reconstruct` table JSON; and the report writer,
+whose bytes must be `json.dumps`' whatever the report.
 
 Whatever the input, `main` returns 0, 1 or 2 and no exception escapes it;
 exit 2 leaves exactly one `error:` line on stderr.
@@ -162,3 +163,31 @@ def tables(draw):
 def test_reconstruct_tables(table):
     text, ring = table
     run_main("reconstruct", text.encode(), f"--ring={ring}")
+
+
+report_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7fé€😀')),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=4), children, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(body=st.dictionaries(st.text(max_size=4), report_values, max_size=4), pad=st.integers(0, 3 * 4096))
+def test_emit_writes_the_bytes_of_dumps(body, pad):
+    # a list of pad ints spans several 4096-chunk writes, with drawn values
+    # on both sides of it
+    report = {"head": body, "pad": list(range(pad)), "tail": body}
+    expected = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(report, None)
+    assert out.getvalue() == expected
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "report.json"
+        cli._emit(report, str(path))
+        assert path.read_bytes() == expected.encode()
