@@ -12,7 +12,6 @@ _EXPORTS = {
     "algebra": (
         "AlgebraContext",
         "StructureConstants",
-        "basis_product",
         "convolve",
         "power_assoc_witness",
         "structure_constants",

@@ -4,10 +4,11 @@ Elements are sparse dicts, basis index -> nonzero scalar, like every vector
 of the package; the product is the interval convolution (for f, g and a
 multichain x = (x_1..x_n):
 (fg)(x) = sum over y in the interval product of x of f(x_1,y) g(y,x_n)).
-The closed-form basis product and the anonymous structure-constants table
-are derived from it.  The oracle table, a StructureConstants read off the
-same interval products without the closed form, is what they are checked
-against; `convolve` multiplies elements through it.
+The anonymous structure-constants table reads the closed form off the
+pairs of basis tuples that share a middle, in one pass.  The oracle table,
+a StructureConstants read off the same interval products without the closed
+form, is what it is checked against; `convolve` multiplies elements through
+it.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ class AlgebraContext:
         """The table of the products e_i e_j, built once from the defining
         convolution alone: for each basis tuple x, with index k, and each y
         in its interval product, the pair ((x_1, y), (y, x_n)) gains one at
-        k.  It never reads `basis_product`, so it is an independent check of
-        the closed form and the structure constants."""
+        k.  It never reads the closed form, so it is an independent check of
+        the structure constants."""
         if self._oracle is None:
             p, n, index, ring = self.poset, self.n, self.index, self.ring
             one, table = ring.one(), {}
@@ -77,26 +78,6 @@ def convolve(ctx: AlgebraContext, f: dict, g: dict) -> dict:
     """The defining convolution product of two elements of ctx, read off the
     oracle table."""
     return ctx.oracle_table().multiply(f, g)
-
-
-def basis_product(ctx: AlgebraContext, x, y) -> dict:
-    """Closed-form product e_x e_y.
-
-    For n >= 3: zero unless the trailing part of x equals the leading part
-    of y, in which case it is the sum of e_(x_1, z, y_n) over z in the
-    interval product of the shared middle.  For n = 2 this degenerates to
-    the classical rule e_(a,b) e_(c,d) = [b = c] e_(a,d).
-    """
-    x, y = ctx.basis[ctx.index_of(x)], ctx.basis[ctx.index_of(y)]
-    n = ctx.n
-    u, v = x[1:], y[:-1]
-    if u != v:
-        return {}
-    p = ctx.poset
-    iv = [p.interval(u[i], u[i + 1]) for i in range(n - 2)]
-    # distinct middles give distinct basis tuples: every coefficient is one
-    one = ctx.ring.one()
-    return {ctx.index[(x[0],) + mid + (y[n - 1],)]: one for mid in itertools.product(*iv)}
 
 
 class StructureConstants:
@@ -228,14 +209,26 @@ class StructureConstants:
 
 
 def structure_constants(ctx: AlgebraContext) -> StructureConstants:
-    """The c_{ij}^k table of the context, built from the closed-form product."""
+    """The c_{ij}^k table of the context, read off the closed-form product.
+
+    e_x e_y is zero unless the trailing part of x equals the leading part of
+    y, in which case it is the sum of e_(x_1, z, y_n) over z in the interval
+    product of the shared middle.  For n = 2 this degenerates to the
+    classical rule e_(a,b) e_(c,d) = [b = c] e_(a,d).  One pass visits only
+    the pairs that share a middle, i and then j ascending.
+    """
     if ctx._sc is None:
+        p, n, index, one = ctx.poset, ctx.n, ctx.index, ctx.ring.one()
+        starting = {}
+        for j, y in enumerate(ctx.basis):
+            starting.setdefault(y[:-1], []).append((j, y[-1]))
         table = {}
         for i, x in enumerate(ctx.basis):
-            for j, y in enumerate(ctx.basis):
-                prod = basis_product(ctx, x, y)
-                if prod:
-                    table[(i, j)] = prod.items()
+            u = x[1:]
+            mids = list(itertools.product(*(p.interval(u[k], u[k + 1]) for k in range(n - 2))))
+            # distinct middles give distinct basis tuples: every coefficient is one
+            for j, last in starting[u]:
+                table[(i, j)] = [(index[(x[0],) + mid + (last,)], one) for mid in mids]
         ctx._sc = StructureConstants(ctx.dim, ctx.ring, table)
     return ctx._sc
 

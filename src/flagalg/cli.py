@@ -52,12 +52,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(report, out_path):
     """Stream the report to out_path or stdout as indented, key-sorted JSON, a
-    few thousand encoder chunks per write: no whole-report string is built."""
+    few thousand encoder chunks per write: no whole-report string is built.
+    The bytes go to the binary layer until it has taken all of them, since an
+    unbuffered stdout's raw layer may take part of a write."""
     chunks = chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(report), ["\n"])
     try:
-        with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as fh:
-            while batch := "".join(islice(chunks, 4096)):
-                fh.write(batch)
+        with open(out_path, "wb") if out_path else nullcontext(sys.stdout.buffer) as fh:
+            while batch := memoryview("".join(islice(chunks, 4096)).encode()):
+                while batch:
+                    batch = batch[fh.write(batch):]
             fh.flush()
     except OSError as exc:
         if not out_path:

@@ -102,13 +102,6 @@ class QuotientAlgebra:
                 if any(self._echelon.reduce(algebra.multiply(b, a))):
                     raise IdealError("denominator is not a right ideal of the numerator")
 
-    def reduce(self, vector):
-        """Quotient coordinates of an ambient vector in U (else IdealError)."""
-        residue, coords = self._echelon.reduce(vector)
-        if residue:
-            raise IdealError("vector is not in the numerator submodule")
-        return coords
-
     def lift(self, coords):
         """Ambient representative of a quotient coordinate vector."""
         return LinearMap(self.ring, self.transversal).apply(coords)

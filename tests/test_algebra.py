@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from flagalg.algebra import (
     AlgebraContext,
     StructureConstants,
-    basis_product,
     convolve,
     power_assoc_witness,
     structure_constants,
@@ -35,9 +34,10 @@ def convolution_oracle(ctx, f, g, t):
 
 
 def assert_matches_oracle(ctx):
-    for x in ctx.basis:
-        for y in ctx.basis:
-            prod = basis_product(ctx, x, y)
+    table = structure_constants(ctx).table
+    for i, x in enumerate(ctx.basis):
+        for j, y in enumerate(ctx.basis):
+            prod = dict(table.get((i, j), ()))
             for t in ctx.basis:
                 assert prod.get(ctx.index[t], 0) == convolution_oracle(
                     ctx, ctx.basis_element(x), ctx.basis_element(y), t
@@ -72,7 +72,7 @@ class TestProduct:
         assert convolve(ctx, e((0, 0, 1)), e((1, 1, 1))) == {}
         assert convolve(ctx, e((0, 1, 1)), e((0, 0, 1))) == {}
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_oracle_small_posets(self, n):
         for p in enumerate_posets(3):
             assert_matches_oracle(AlgebraContext(p, n, Q))
@@ -167,13 +167,6 @@ class TestIdentity:
 
 
 class TestStructureConstants:
-    def test_table_agrees_with_products(self):
-        ctx = AlgebraContext(chain(3), 3, Q)
-        sc = structure_constants(ctx)
-        for i, x in enumerate(ctx.basis):
-            for j, y in enumerate(ctx.basis):
-                assert dict(sc.table.get((i, j), ())) == basis_product(ctx, x, y)
-
     def test_multiply_matches_convolve(self):
         # the closed-form table against the oracle table that `convolve` reads
         ctx = AlgebraContext(chain(2), 3, Q)

@@ -49,7 +49,7 @@ def run_main(command, data, *options):
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "input"
         path.write_bytes(data)
-        out, err = io.StringIO(), io.StringIO()
+        out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main([command, str(path), *options])
     assert code in (0, 1, 2)
@@ -183,11 +183,37 @@ def test_emit_writes_the_bytes_of_dumps(body, pad):
     # on both sides of it
     report = {"head": body, "pad": list(range(pad)), "tail": body}
     expected = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    out = io.StringIO()
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     with contextlib.redirect_stdout(out):
         cli._emit(report, None)
-    assert out.getvalue() == expected
+    assert out.buffer.getvalue().decode() == expected
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "report.json"
         cli._emit(report, str(path))
         assert path.read_bytes() == expected.encode()
+
+
+class ShortWrites(io.RawIOBase):
+    """A raw stream that takes at most `limit` bytes per write, as a pipe
+    or a nearly full disk may under an unbuffered stdout."""
+
+    def __init__(self, limit):
+        self.limit, self.data = limit, bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        taken = bytes(b[: self.limit])
+        self.data += taken
+        return len(taken)
+
+
+def test_emit_completes_short_writes():
+    # an unbuffered stdout is a text layer straight over a raw stream, which
+    # drops what a short write leaves: the report spans several batches
+    report = {"pad": list(range(5000))}
+    raw = ShortWrites(1000)
+    with contextlib.redirect_stdout(io.TextIOWrapper(raw, encoding="utf-8", write_through=True)):
+        cli._emit(report, None)
+    assert raw.data.decode() == json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -148,13 +148,6 @@ class TestQuotient:
         assert q.sc.is_commutative()
         assert q.sc.identity("left") is not None
 
-    def test_reduce_lift_roundtrip(self):
-        ctx = AlgebraContext(chain(3), 3, Q)
-        c1, _, _ = z_chain(ctx)
-        q = quotient(structure_constants(ctx), ideal_J(ctx, 0), c1)
-        for coords in ({0: Q.one()},):
-            assert q.reduce(q.lift(coords)) == coords
-
 
 class TestPrimitiveIdempotents:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
