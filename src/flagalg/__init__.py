@@ -18,7 +18,6 @@ _EXPORTS = {
     ),
     "derivations": ("check_derivation", "derivation_basis", "leibniz_system"),
     "lattice": (
-        "QuotientAlgebra",
         "ideal_J",
         "mul_submodule",
         "primitive_idempotents",

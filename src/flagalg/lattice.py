@@ -56,66 +56,53 @@ def z_chain(ctx: AlgebraContext):
     return commutator_chain(structure_constants(ctx))
 
 
-class QuotientAlgebra:
-    """U/V for an ideal V of a subalgebra U of `algebra`, on a transversal.
+def quotient(algebra: StructureConstants, numerator: Submodule, denominator: Submodule):
+    """(table, lift) of U/V for an ideal V of a subalgebra U of `algebra`.
 
     Transversal representatives are the residues of U's canonical basis,
     each reduced modulo V and the earlier residues and normalized to leading
     coefficient 1.  Quotient coordinates are coefficients on these
-    representatives, so lifting is a plain linear combination.
+    representatives, so `lift` is the LinearMap whose columns they are, in
+    order, and lifting is a plain linear combination.
 
     One echelon, V's rows untagged and then the representatives tagged by
     index, decides all three conditions: V lies in U iff it has U's rank, U
     is closed iff products of representatives have no residue, and V is an
     ideal iff products of U's and V's bases have no residue and no coords.
     """
-
-    def __init__(self, algebra: StructureConstants, numerator: Submodule, denominator: Submodule):
-        ring = algebra.ring
-        if not ring.is_field:
-            raise CapabilityError("quotient algebras are implemented over fields")
-        self.ring = ring
-        # stored rows are tagged by the transversal representative they
-        # carry, so reducing a vector of U yields its quotient coordinates
-        self._echelon = SparseEchelon(ring)
-        for row in denominator.basis:
-            self._echelon.add_row(row)
-        transversal = []
-        for row in numerator.basis:
-            residue, _ = self._echelon.reduce(row)
-            if residue:
-                inv = ring.inv(residue[min(residue)])
-                rep = {c: ring.mul(inv, x) for c, x in residue.items()}
-                self._echelon.add_row(rep, {len(transversal): ring.one()})
-                transversal.append(rep)
-        if self._echelon.rank != numerator.rank:
-            raise IdealError("denominator is not contained in the numerator")
-        self.transversal = tuple(transversal)
-        self.dim = len(transversal)
-        self.sc = algebra.rebase(self._echelon, self.transversal)
-        if self.sc is None:
-            raise IdealError("numerator is not closed under the product")
-        for a in numerator.basis:
-            for b in denominator.basis:
-                if any(self._echelon.reduce(algebra.multiply(a, b))):
-                    raise IdealError("denominator is not a left ideal of the numerator")
-                if any(self._echelon.reduce(algebra.multiply(b, a))):
-                    raise IdealError("denominator is not a right ideal of the numerator")
-
-    def lift(self, coords):
-        """Ambient representative of a quotient coordinate vector."""
-        return LinearMap(self.ring, self.transversal).apply(coords)
-
-
-def quotient(sc: StructureConstants, u: Submodule, v: Submodule) -> QuotientAlgebra:
-    return QuotientAlgebra(sc, u, v)
+    ring = algebra.ring
+    # stored rows are tagged by the transversal representative they
+    # carry, so reducing a vector of U yields its quotient coordinates
+    echelon = SparseEchelon(ring)
+    for row in denominator.basis:
+        echelon.add_row(row)
+    transversal = []
+    for row in numerator.basis:
+        residue, _ = echelon.reduce(row)
+        if residue:
+            inv = ring.inv(residue[min(residue)])
+            rep = {c: ring.mul(inv, x) for c, x in residue.items()}
+            echelon.add_row(rep, {len(transversal): ring.one()})
+            transversal.append(rep)
+    if echelon.rank != numerator.rank:
+        raise IdealError("denominator is not contained in the numerator")
+    table = algebra.rebase(echelon, transversal)
+    if table is None:
+        raise IdealError("numerator is not closed under the product")
+    for a in numerator.basis:
+        for b in denominator.basis:
+            if any(echelon.reduce(algebra.multiply(a, b))):
+                raise IdealError("denominator is not a left ideal of the numerator")
+            if any(echelon.reduce(algebra.multiply(b, a))):
+                raise IdealError("denominator is not a right ideal of the numerator")
+    return table, LinearMap(ring, transversal)
 
 
 def primitive_idempotents(sc: StructureConstants):
     """Complete orthogonal primitive idempotent decomposition over a field.
 
-    Takes the table of a commutative unital algebra (a quotient's `.sc` for
-    a QuotientAlgebra).  Returns coordinate vectors on the table's basis, in
+    Takes the table of a commutative unital algebra (the table that
+    `quotient` returns).  Returns coordinate vectors on the table's basis, in
     the order of their dense coordinate tuples.  Splits each idempotent u by
     the eigenvalues of u*b_k, k = 0, ..., d-1: a Lagrange idempotent of a
     squarefree split minimal polynomial is an eigenprojection, so u*b_k

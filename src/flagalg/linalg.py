@@ -214,9 +214,6 @@ class Submodule:
             and self.basis == other.basis
         )
 
-    def __hash__(self):
-        return hash((self.ring, self.ambient, tuple(tuple(sorted(r.items())) for r in self.basis)))
-
     def __repr__(self):
         return f"Submodule(ring={self.ring.name}, ambient={self.ambient}, rank={self.rank})"
 
@@ -227,11 +224,9 @@ class Submodule:
         return hnf([*self.basis, vector]) == list(self.basis)
 
 
-def span(vectors, ring: Ring, ambient: int | None = None) -> Submodule:
+def span(vectors, ring: Ring, ambient: int) -> Submodule:
     """Canonical-form submodule of R^ambient generated by the given vectors."""
     _require_submodule_support(ring)
-    if ambient is None:
-        raise ValueError("ambient dimension required: sparse vectors do not carry it")
     vectors = list(vectors)
     for v in vectors:
         _check_bounds(v, ambient)

@@ -34,8 +34,8 @@ def _stage_lifts(sc: StructureConstants, numerator, denominator, stage: str):
     """Lifts of the primitive idempotents of numerator/denominator; a
     ReconstructionError naming the stage when that is not a split algebra."""
     try:
-        q = quotient(sc, numerator, denominator)
-        return [q.lift(e) for e in primitive_idempotents(q.sc)]
+        table, lift = quotient(sc, numerator, denominator)
+        return [lift.apply(e) for e in primitive_idempotents(table)]
     except (IdealError, SplittingError) as exc:
         raise ReconstructionError(f"{stage} quotient did not split: {exc}") from exc
 
@@ -123,8 +123,6 @@ def scramble(ctx: AlgebraContext, seed: int) -> AbstractAlgebra:
     the table entries small.
     """
     ring = ctx.ring
-    if not ring.is_field:
-        raise CapabilityError("scramble requires field coefficients")
     d = ctx.dim
     rng = random.Random(seed)
     t = [{i: ring.one()} for i in range(d)]  # the map's rows

@@ -41,11 +41,11 @@ def reconstruct_poset_reference(a: AbstractAlgebra):
     c1, c2, c3 = commutator_chain(sc)
     std = [{i: ring.one()} for i in range(d)]
     try:
-        q1 = quotient(sc, span(std, ring, d), c1)
+        table1, lift1 = quotient(sc, span(std, ring, d), c1)
     except IdealError:
         raise ReconstructionError("the commutator submodule is not an ideal")
     try:
-        elem_idems = primitive_idempotents(q1.sc)
+        elem_idems = primitive_idempotents(table1)
     except SplittingError as exc:
         raise ReconstructionError(f"element quotient did not split: {exc}") from exc
     # order by leading coordinate so canonical input labels elements by the
@@ -53,7 +53,7 @@ def reconstruct_poset_reference(a: AbstractAlgebra):
     # does not depend on the quotient's coordinates
     zero = ring.zero()
     elements = sorted(
-        (q1.lift(e) for e in elem_idems), key=lambda v: (min(v), [v.get(i, zero) for i in range(d)])
+        (lift1.apply(e) for e in elem_idems), key=lambda v: (min(v), [v.get(i, zero) for i in range(d)])
     )
     m = len(elements)
 
@@ -74,13 +74,13 @@ def reconstruct_poset_reference(a: AbstractAlgebra):
     cover_lifts = []
     if c2.rank > c3.rank:
         try:
-            q2 = quotient(sc, c2, c3)
-            cover_idems = primitive_idempotents(q2.sc)
+            table2, lift2 = quotient(sc, c2, c3)
+            cover_idems = primitive_idempotents(table2)
         except IdealError as exc:
             raise ReconstructionError(f"C2/C3 is not a quotient algebra: {exc}")
         except SplittingError as exc:
             raise ReconstructionError(f"cover quotient did not split: {exc}") from exc
-        for f in sorted((q2.lift(e) for e in cover_idems), key=min):
+        for f in sorted((lift2.apply(e) for e in cover_idems), key=min):
             src = [x for x in range(m) if not c2.contains(sc.multiply(elements[x], f))]
             tgt = [y for y in range(m) if not c2.contains(sc.multiply(f, elements[y]))]
             if len(src) != 1 or len(tgt) != 1 or src == tgt:

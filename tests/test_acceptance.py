@@ -149,10 +149,10 @@ def test_criterion_5_quotient_idempotent_counts():
         ctx = AlgebraContext(p, 3, Q)
         sc = structure_constants(ctx)
         c1, c2, c3 = z_chain(ctx)
-        elems = primitive_idempotents(quotient(sc, ideal_J(ctx, 0), c1).sc)
+        elems = primitive_idempotents(quotient(sc, ideal_J(ctx, 0), c1)[0])
         assert len(elems) == p.size, p
         if c2.rank > c3.rank:
-            covs = primitive_idempotents(quotient(sc, c2, c3).sc)
+            covs = primitive_idempotents(quotient(sc, c2, c3)[0])
             assert len(covs) == len(p.covers), p
         else:
             assert not p.covers, p

@@ -41,7 +41,7 @@ def test_scrambled_table_and_idempotents_are_int_or_fraction(seed):
     c1 = commutator_chain(algebra.sc)[0]
     d = algebra.sc.dim
     eye = [{i: Q.one()} for i in range(d)]
-    idems = primitive_idempotents(quotient(algebra.sc, span(eye, Q, d), c1).sc)
+    idems = primitive_idempotents(quotient(algebra.sc, span(eye, Q, d), c1)[0])
     scalars += [c for vec in idems for c in vec.values()]
     assert scalars
     assert {type(c) for c in scalars} <= {int, Fraction}

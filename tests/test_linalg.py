@@ -152,7 +152,7 @@ class TestSpan:
 
     def test_empty_span_needs_ambient(self):
         assert span([], Q, ambient=3).rank == 0
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             span([], Q)
 
 

@@ -13,7 +13,8 @@ from reconstruction_oracle import reconstruct_poset_reference
 
 from flagalg import cli
 from flagalg.algebra import AlgebraContext, StructureConstants, structure_constants
-from flagalg.linalg import LinearMap
+from flagalg.lattice import primitive_idempotents, quotient
+from flagalg.linalg import LinearMap, Submodule
 from flagalg.posets import Poset, antichain, chain, enumerate_posets, find_isomorphism
 from flagalg.reconstruction import (
     AbstractAlgebra,
@@ -196,6 +197,20 @@ class TestGuards:
         sc = structure_constants(AlgebraContext(chain(2), 3, ring))
         with pytest.raises(CapabilityError, match=f"requires a field \\(got {ring.name}\\)"):
             AbstractAlgebra(sc)
+
+    @pytest.mark.parametrize("ring", [Integers(), ModularRing(6), ModularRing(9)], ids=lambda r: r.name)
+    def test_engine_requires_field(self, ring):
+        # the quotient and scramble build a SparseEchelon, which refuses the
+        # ring; primitive_idempotents refuses it before its commutativity test
+        ctx = AlgebraContext(chain(2), 3, ring)
+        sc = structure_constants(ctx)
+        whole = Submodule(ring, ctx.dim, [{i: ring.one()} for i in range(ctx.dim)])
+        with pytest.raises(CapabilityError, match="requires a field"):
+            quotient(sc, whole, Submodule(ring, ctx.dim, []))
+        with pytest.raises(CapabilityError, match="requires a field"):
+            scramble(ctx, 0)
+        with pytest.raises(CapabilityError, match="requires a field"):
+            primitive_idempotents(sc)
 
     def test_rejects_non_flag_table(self):
         # the 2-dimensional zero algebra has no idempotent structure to read
