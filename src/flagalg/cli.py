@@ -30,7 +30,8 @@ MAX_FLAG_ORDER = 8
 # the largest algebra whose Leibniz system `derivations` and `check` (always I^3)
 # solve: it grows faster than the dim, and on a 2-core VM the 7-chain took 3.7 s
 # at --n 4 (dim 210), 13.5 s at --n 5, and the 20-chain at --n 2 (dim 210, its
-# report 209 dense 210 x 210 maps, 9.2 million entries) 4.7 s and 94 MiB peak
+# report 209 dense 210 x 210 maps, 9.2 million entries) 4.7 s and 94 MiB peak;
+# `reconstruct` takes it too: a diagonal Q table's splitting took 4-7 s at dim 400
 MAX_DERIVATION_DIM = 210
 # the largest algebra whose oracle table `multiply` builds: on a 2-core VM at
 # --n 8 the 9-chain (dim 12,870) took 0.82 s and 78 MiB, the 10-chain 2.09 s
@@ -159,6 +160,8 @@ def cmd_reconstruct(args):
         raise CliError(f"malformed structure constants JSON: {exc}")
     if sc.ring != ring:
         raise CliError(f"table ring {sc.ring.name} does not match --ring {ring.name}")
+    if sc.dim > MAX_DERIVATION_DIM:
+        raise CliError(f"reconstruct needs dim at most {MAX_DERIVATION_DIM} (this table has dim {sc.dim})")
     try:
         poset, elements, cover_lifts = reconstruct_poset(AbstractAlgebra(sc))
     except ReconstructionError as exc:

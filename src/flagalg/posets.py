@@ -134,11 +134,6 @@ class Poset:
     def _invariant(self, x):
         return (self.up[x].bit_count() - 1, self.down[x].bit_count() - 1, self.height(x))
 
-    def canonical_key(self):
-        """Isomorphism-invariant canonical encoding: the least integer with
-        bit i*m + j = leq[perm[i]][perm[j]] over all perms."""
-        return (self.size, _canonical_key(self.size, self.up))
-
 
 def _mask(row):
     """The bitmask of the True entries of a row."""

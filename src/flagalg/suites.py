@@ -23,6 +23,11 @@ def _entry(theorem, status, detail=None):
     return e
 
 
+def _verdict(theorem, ok, counterexample=None):
+    """A pass, or a fail with the counterexample; a pass never carries one."""
+    return _entry(theorem, "pass" if ok else "fail", None if ok else counterexample)
+
+
 def _capability(theorem, exc):
     return _entry(theorem, "capability-skip", str(exc))
 
@@ -41,9 +46,7 @@ def suite_flag_algebra(ctx: AlgebraContext):
         ),
         None,
     )
-    entries.append(
-        _entry("product-closed-form", "fail" if bad else "pass", bad)
-    )
+    entries.append(_verdict("product-closed-form", not bad, bad))
 
     if poset.is_antichain():
         # (ab)c = 0 = a(bc) when ab = 0 = bc, so only the triples with a
@@ -53,35 +56,19 @@ def suite_flag_algebra(ctx: AlgebraContext):
         triples = {(i, j, k) for i, j in oracle.table for k in range(ctx.dim)}
         triples |= {(i, j, k) for j, k in oracle.table for i in range(ctx.dim)}
         ok = all(mul(mul(e[i], e[j]), e[k]) == mul(e[i], mul(e[j], e[k])) for i, j, k in triples)
-        entries.append(_entry("power-associativity", "pass" if ok else "fail"))
+        entries.append(_verdict("power-associativity", ok))
+    elif (witness := power_assoc_witness(ctx)) is None:
+        entries.append(_verdict("power-associativity", False, "third-power associativity held unexpectedly"))
     else:
-        witness = power_assoc_witness(ctx)
-        if witness is None:
-            entries.append(
-                _entry("power-associativity", "fail", "third-power associativity held unexpectedly")
-            )
-        else:
-            entries.append(
-                _entry("power-associativity", "pass", {"witness": sorted(witness)})
-            )
+        entries.append(_entry("power-associativity", "pass", {"witness": sorted(witness)}))
 
-    if ring.is_field:
-        if poset.is_antichain():
-            entries.append(_entry("no-one-sided-identity", "pass", "antichain: unital"))
-        else:
-            left = sc.identity("left") is not None
-            right = sc.identity("right") is not None
-            entries.append(
-                _entry(
-                    "no-one-sided-identity",
-                    "fail" if (left or right) else "pass",
-                    {"left": left, "right": right} if (left or right) else None,
-                )
-            )
+    if not ring.is_field:
+        entries.append(_capability("no-one-sided-identity", "feasibility check needs a field"))
+    elif poset.is_antichain():
+        entries.append(_entry("no-one-sided-identity", "pass", "antichain: unital"))
     else:
-        entries.append(
-            _capability("no-one-sided-identity", "feasibility check needs a field")
-        )
+        sided = {side: sc.identity(side) is not None for side in ("left", "right")}
+        entries.append(_verdict("no-one-sided-identity", not any(sided.values()), sided))
     return entries
 
 
@@ -95,13 +82,7 @@ def suite_submodules(ctx: AlgebraContext):
     c1, c2, c3 = z_chain(ctx)
     j1 = ideal_J(ctx, 1)
     j2 = ideal_J(ctx, 2)
-    entries.append(
-        _entry(
-            "commutator-is-J1",
-            "pass" if c1 == j1 else "fail",
-            None if c1 == j1 else {"rank_C1": c1.rank, "rank_J1": j1.rank},
-        )
-    )
+    entries.append(_verdict("commutator-is-J1", c1 == j1, {"rank_C1": c1.rank, "rank_J1": j1.rank}))
     # C2 = span{e_xxy + e_xyy : l(x,y) = 1} + J^3_2
     one = ring.one()
     gens = list(j2.basis)
@@ -110,20 +91,9 @@ def suite_submodules(ctx: AlgebraContext):
     c1sq = mul_submodule(sc, c1, c1)
     ok2 = c2 == rhs and c1sq == rhs
     entries.append(
-        _entry(
-            "zchain-C2-span",
-            "pass" if ok2 else "fail",
-            None if ok2 else {"rank_C2": c2.rank, "rank_span": rhs.rank, "rank_C1sq": c1sq.rank},
-        )
+        _verdict("zchain-C2-span", ok2, {"rank_C2": c2.rank, "rank_span": rhs.rank, "rank_C1sq": c1sq.rank})
     )
-    ok3 = c3 == j2
-    entries.append(
-        _entry(
-            "zchain-C3-is-J2",
-            "pass" if ok3 else "fail",
-            None if ok3 else {"rank_C3": c3.rank, "rank_J2": j2.rank},
-        )
-    )
+    entries.append(_verdict("zchain-C3-is-J2", c3 == j2, {"rank_C3": c3.rank, "rank_J2": j2.rank}))
     return entries
 
 
@@ -147,7 +117,7 @@ def suite_reconstruction(ctx: AlgebraContext, seed: int):
     except ReconstructionError as exc:
         # a flag algebra always splits, so a splitting failure is a fail as well
         failed = {"diagnostic": str(exc)}
-        return [_entry(theorems[0], "fail", failed), _entry(theorems[1], "fail", failed)]
+        return [_verdict(t, False, failed) for t in theorems]
     ok = len(elements) == poset.size and len(cover_lifts) == len(poset.covers)
     detail = {
         "elements": len(elements),
@@ -155,11 +125,9 @@ def suite_reconstruction(ctx: AlgebraContext, seed: int):
         "covers": len(cover_lifts),
         "expected_covers": len(poset.covers),
     }
-    counts = _entry(theorems[0], "pass" if ok else "fail", None if ok else detail)
-    if find_isomorphism(recovered, poset) is None:
-        detail = {"scrambled_covers": list(recovered.covers), "expected_covers": list(poset.covers)}
-        return [counts, _entry(theorems[1], "fail", detail)]
-    return [counts, _entry(theorems[1], "pass")]
+    iso = find_isomorphism(recovered, poset)
+    mismatch = {"scrambled_covers": list(recovered.covers), "expected_covers": list(poset.covers)}
+    return [_verdict(theorems[0], ok, detail), _verdict(theorems[1], iso is not None, mismatch)]
 
 
 def suite_derivations(ctx: AlgebraContext):
@@ -169,8 +137,8 @@ def suite_derivations(ctx: AlgebraContext):
     basis = derivation_basis(ctx)
     if basis:
         moved = list(moved_basis_tuple(ctx, basis[0]))
-        return [_entry(theorem, "fail", {"kernel_rank": len(basis), "basis_tuple": moved})]
-    return [_entry(theorem, "pass")]
+        return [_verdict(theorem, False, {"kernel_rank": len(basis), "basis_tuple": moved})]
+    return [_verdict(theorem, True)]
 
 
 ALL_THEOREMS = [

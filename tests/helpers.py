@@ -1,15 +1,16 @@
 """Poset and linear-map helpers that only the tests use.
 
-No command or pipeline relabels or dualises a poset, compares two
-submodules, or builds an identity or inverse map, so the library does not
-ship these.  The cubic order build, the order queries on boolean rows and
+No command or pipeline relabels or dualises a poset, keys one poset on
+its own (`enumerate_posets` keys its candidates by `_canonical_key`),
+compares two submodules, or builds an identity or inverse map, so the
+library does not ship these.  The cubic order build, the order queries on boolean rows and
 the divide-down membership test over Z are kept here as the references
 that Poset's bitmask build and queries and Submodule.contains are
 compared with.
 """
 
 from flagalg.linalg import LinearMap, Submodule, sub_scaled
-from flagalg.posets import InvalidIntervalError, Poset, PosetError
+from flagalg.posets import InvalidIntervalError, Poset, PosetError, _canonical_key
 from flagalg.rings import Ring
 
 
@@ -29,6 +30,12 @@ def relabel(p: Poset, perm) -> Poset:
 
 def dual(p: Poset) -> Poset:
     return Poset(tuple(zip(*p.leq)), names=p.names)
+
+
+def canonical_key(p: Poset):
+    """Isomorphism-invariant canonical encoding: the least integer with
+    bit i*m + j = leq[perm[i]][perm[j]] over all perms."""
+    return (p.size, _canonical_key(p.size, p.up))
 
 
 def reference_order(leq):

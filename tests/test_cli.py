@@ -314,9 +314,10 @@ class TestExitCodes:
 
     def test_huge_dim_with_short_table_fails_fast(self, tmp_path):
         # fewer nonzero products than dim means A*A != A: rejected before
-        # any elimination instead of running for minutes
+        # any elimination instead of running for minutes (210 is the largest
+        # dim that reconstruct takes)
         f = tmp_path / "huge.json"
-        f.write_text('{"dim": 300, "ring": "Q", "table": []}')
+        f.write_text('{"dim": 210, "ring": "Q", "table": []}')
         r = run_cli("reconstruct", str(f), timeout=30)
         assert r.returncode == 1
         report = json.loads(r.stdout)
@@ -517,6 +518,18 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1
         assert capsys.readouterr() == (
             "", f"error: check needs dim at most {cli.MAX_DERIVATION_DIM} (I^3 of this poset has dim 220)\n"
+        )
+
+    def test_reconstruct_dimension_is_bounded(self, tmp_path, capsys):
+        # b_i b_i = b_i at dim 400 reconstructed in about 5 s on a 2-core VM,
+        # and at dim 800 (a 17 KB file) in 28 s
+        f = tmp_path / "diagonal400.json"
+        f.write_text(json.dumps({"dim": 400, "ring": "Q", "table": [[i, i, [[i, "1"]]] for i in range(400)]}))
+        start = time.perf_counter()
+        assert cli.main(["reconstruct", str(f)]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == (
+            "", f"error: reconstruct needs dim at most {cli.MAX_DERIVATION_DIM} (this table has dim 400)\n"
         )
 
     @pytest.mark.parametrize(
